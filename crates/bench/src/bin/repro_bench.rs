@@ -16,7 +16,7 @@
 //! `peak_trace_bytes`, gated at <= the budget), and the
 //! `serve_sustained_rps` serving scenario — a closed-loop mixed
 //! campaign (every fig8 grid point plus two sharded campaign points,
-//! each duplicated `MILLER_SERVE_DUP` times, default 3, and shuffled)
+//! each duplicated [`SERVE_DUP`] = 3 times, and shuffled)
 //! driven by 4 concurrent clients against a warm `serve::Engine`,
 //! gated at >= 2x the cold spawn-per-request baseline and at
 //! byte-identical responses vs one-shot runs at worker counts 1 and 4 —
@@ -27,10 +27,9 @@
 //! events for the churn pair, and index operations for the LRU
 //! microbench.
 //!
-//! Thread count follows the harness: `MILLER_THREADS`, then
-//! `RAYON_NUM_THREADS`, then all available cores. `MILLER_BENCH_SCALE`
-//! overrides the scale divisor (default 16; CI uses a higher divisor
-//! for a quicker run).
+//! Thread count follows the harness: `--threads N` (or
+//! `MILLER_THREADS`), else all available cores. Every sweep runs at
+//! scale divisor [`BENCH_SCALE`] = 16.
 //!
 //! The engine-phase microbenches (`event_queue_churn`, `cache_ops_churn`,
 //! `device_model_access`) time each hot-path component in isolation at
@@ -59,12 +58,13 @@
 //! recorder occupancy plus the enabled-vs-disabled overhead.
 //! `alloc_per_event_obs` repeats the allocation differencing with spans
 //! on — recording must stay allocation-free too (the ring drops, never
-//! grows). `--profile PATH` (or `MILLER_PROFILE=PATH`) additionally
-//! exports everything recorded as a Chrome trace-event / Perfetto JSON
-//! timeline.
+//! grows). `--profile PATH` additionally exports everything recorded as
+//! a Chrome trace-event / Perfetto JSON timeline. The binary takes the
+//! run options of `mio serve` (the README's run-options table).
 
 use buffer_cache::lru::LruIndex;
 use buffer_cache::{BlockCache, CacheConfig, ReadOutcome, WritePolicy, WriteOutcome};
+use experiments::{RunOptions, Scope};
 use miller_core::figures::{two_venus_report, two_venus_report_in};
 use miller_core::{
     encode_frames, generate, par_sweep, run_campaign, run_campaign_in, scaled_spec, thread_count,
@@ -82,6 +82,12 @@ use std::time::Instant;
 use storage_model::AccessKind;
 
 const MB: u64 = 1024 * 1024;
+
+/// Scale divisor of every sweep.
+const BENCH_SCALE: u32 = 16;
+
+/// How many times each distinct request appears in the serving stream.
+const SERVE_DUP: usize = 3;
 
 /// Tolerated events-per-second regression vs the baseline.
 const REGRESSION_TOLERANCE: f64 = 0.30;
@@ -191,7 +197,7 @@ struct ServeBenchSummary {
     /// `warm_rps / cold_rps`; gated at >= 2x.
     speedup: f64,
     /// How many times each distinct request appears in the stream
-    /// (`MILLER_SERVE_DUP`, default 3).
+    /// ([`SERVE_DUP`]).
     duplicate_ratio: usize,
     /// Whether every served response was byte-identical to its one-shot
     /// run at worker counts 1 and 4. Gated: must be true.
@@ -686,12 +692,7 @@ fn drive_engine(
 /// warm/cold rate ratio is the amortization speedup `main` gates at 2x.
 fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBenchSummary) {
     let pool = serve_request_pool(scale, seed);
-    let dup = std::env::var("MILLER_SERVE_DUP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&d| d >= 1)
-        .unwrap_or(3);
-    let stream = shuffled_stream(pool.len(), dup);
+    let stream = shuffled_stream(pool.len(), SERVE_DUP);
     let engine_config = |workers: usize| EngineConfig {
         workers,
         max_inflight: 256,
@@ -755,7 +756,7 @@ fn measure_serve(scale: Scale, seed: u64) -> (SweepTiming, SweepTiming, ServeBen
         } else {
             0.0
         },
-        duplicate_ratio: dup,
+        duplicate_ratio: SERVE_DUP,
         responses_identical,
         latency: Some(latency),
     };
@@ -850,16 +851,8 @@ fn compare_baseline(report: &BenchReport, base: &BenchReport) -> Vec<String> {
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().collect();
-    if let Err(msg) = obs::apply_timeline_flags(&mut argv) {
-        eprintln!("repro_bench: {msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = obs::apply_profile_capacity_flag(&mut argv) {
-        eprintln!("repro_bench: {msg}");
-        return ExitCode::FAILURE;
-    }
-    let profile = match obs::apply_profile_flag(&mut argv) {
-        Ok(p) => p,
+    let opts = match RunOptions::from_process(&mut argv, Scope::Service) {
+        Ok(opts) => opts,
         Err(msg) => {
             eprintln!("repro_bench: {msg}");
             return ExitCode::FAILURE;
@@ -911,13 +904,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let scale = Scale(
-        std::env::var("MILLER_BENCH_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|&k| k >= 1)
-            .unwrap_or(16),
-    );
+    let scale = Scale(BENCH_SCALE);
     let seed = 42;
 
     let mut sweeps = run_benches(scale, seed);
@@ -1085,10 +1072,7 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    opts.finish();
     if failed {
         return ExitCode::FAILURE;
     }

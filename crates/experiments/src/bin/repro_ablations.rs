@@ -2,28 +2,18 @@
 //! size, quantum, disk queueing).
 
 use experiments::ablations::{all_ablations, render_ablations};
-use experiments::Scale;
+use experiments::options::{or_exit, take_flag, write_json};
+use experiments::{RunOptions, Scale, Scope};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let profile = match experiments::apply_standard_flags(&mut args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(RunOptions::from_process(&mut args, Scope::Repro));
+    let json = or_exit(take_flag(&mut args, "--json"));
     let scale = if args.iter().any(|a| a == "--quick") { Scale(8) } else { Scale::FULL };
     let report = all_ablations(scale, 42);
     println!("{}", render_ablations(&report));
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, serde_json::to_string_pretty(&report).expect("serialize"))
-            .expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = &json {
+        write_json(path, &report);
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    opts.finish();
 }

@@ -1,28 +1,18 @@
 //! Check the §6 headline claims C1–C5.
 
 use experiments::claims::{all_claims, render_claims};
-use experiments::Scale;
+use experiments::options::{or_exit, take_flag, write_json};
+use experiments::{RunOptions, Scale, Scope};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let profile = match experiments::apply_standard_flags(&mut args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(RunOptions::from_process(&mut args, Scope::Repro));
+    let json = or_exit(take_flag(&mut args, "--json"));
     let scale = if args.iter().any(|a| a == "--quick") { Scale(8) } else { Scale::FULL };
     let report = all_claims(scale, 42);
     println!("{}", render_claims(&report));
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, serde_json::to_string_pretty(&report).expect("serialize"))
-            .expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = &json {
+        write_json(path, &report);
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    opts.finish();
 }

@@ -1,17 +1,12 @@
 //! Regenerate Figures 3 and 4 (application demand over CPU time).
 
 use experiments::figures::{fig3, fig4};
-use experiments::Scale;
+use experiments::options::or_exit;
+use experiments::{RunOptions, Scale, Scope};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let profile = match experiments::apply_standard_flags(&mut args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(RunOptions::from_process(&mut args, Scope::Repro));
     let scale = if args.iter().any(|a| a == "--quick") { Scale(8) } else { Scale::FULL };
     for (label, fig) in [("Figure 3", fig3(scale, 42)), ("Figure 4", fig4(scale, 42))] {
         println!("{label}: {} — mean {:.1} MB/s, peak {:.1} MB/s, {} peaks (spacing CV {:.2})",
@@ -21,8 +16,5 @@ fn main() {
         }
         println!("{}", fig.plot);
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    opts.finish();
 }

@@ -1,14 +1,10 @@
 //! Regenerate Figures 6, 7 and 8 (the buffering simulations).
 //!
-//! Observability flags (shared by every repro binary):
-//! * `--profile PATH` — record a Chrome trace-event / Perfetto timeline
-//!   of the run to PATH (also via `MILLER_PROFILE=PATH`).
-//! * `--profile-capacity N` — size the flight-recorder ring to N events
-//!   (also via `MILLER_PROFILE_CAPACITY=N`).
-//! * `--progress` — stderr heartbeat during sweeps (also via
-//!   `MILLER_PROGRESS=1`).
-//! * `--threads N` / `--shards N` — sweep thread pool / sharded-engine
-//!   worker count (also `MILLER_THREADS` / `MILLER_SHARDS`).
+//! Takes every run option (`--threads`, `--shards`, `--devices`,
+//! `--trace-dir`, `--trace-mem-budget`, `--progress`, `--timeline`,
+//! `--timeline-out`, `--profile-capacity`, `--profile`); the README's
+//! run-options table lists them with their `MILLER_*` fallbacks and
+//! defaults.
 //!
 //! `--fig8-point MB:BLOCK` runs a single Figure 8 sweep point (e.g.
 //! `32:4096` = 32 MB cache, 4 KiB blocks) instead of the full set —
@@ -36,7 +32,8 @@
 use experiments::campaign::{run_campaign, CampaignSpec};
 use experiments::figures::{fig6, fig7, fig8, render_fig8, two_venus_report};
 use experiments::nplus1::{nplus1, render_nplus1};
-use experiments::Scale;
+use experiments::options::{or_exit, take_flag, write_json};
+use experiments::{DeviceEra, RunOptions, Scale, Scope};
 use sim_core::units::MB;
 
 fn parse_campaign(raw: &str) -> Result<(usize, usize), String> {
@@ -77,41 +74,22 @@ fn parse_fig8_point(raw: &str) -> Result<(u64, u64), String> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let profile = match experiments::apply_standard_flags(&mut args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(RunOptions::from_process(&mut args, Scope::Repro));
+    let json = or_exit(take_flag(&mut args, "--json"));
+    let dfg_out = or_exit(take_flag(&mut args, "--dfg-out"));
+    let campaign = or_exit(take_flag(&mut args, "--campaign"));
+    let fig8_point = or_exit(take_flag(&mut args, "--fig8-point"));
     let scale = if args.iter().any(|a| a == "--quick") { Scale(8) } else { Scale::FULL };
 
-    if experiments::modern_devices() {
-        let c = experiments::modern_comparison(scale, 42);
+    if opts.devices == DeviceEra::Era2026 {
+        let c = experiments::modern_comparison(scale, 42, opts.shards);
         print!("{}", experiments::render_modern(&c));
-        if let Some(i) = args.iter().position(|a| a == "--json") {
-            let path = args.get(i + 1).expect("--json needs a path");
-            std::fs::write(path, serde_json::to_string_pretty(&c).expect("serialize"))
-                .expect("write json");
-            eprintln!("wrote {path}");
+        if let Some(path) = &json {
+            write_json(path, &c);
         }
-        if let Some(path) = &profile {
-            obs::finish_profile(path);
-        }
-        obs::finish_timelines();
-        return;
-    }
-
-    if let Some(i) = args.iter().position(|a| a == "--campaign") {
-        let raw = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--campaign needs GROUPSxPROCS");
-            std::process::exit(2);
-        });
-        let (groups, procs) = parse_campaign(&raw).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
-        let shards = experiments::shard_count();
+    } else if let Some(raw) = campaign {
+        let (groups, procs) = or_exit(parse_campaign(&raw));
+        let shards = opts.shards;
         let spec = CampaignSpec::datacenter(groups, procs);
         let report = run_campaign(&spec, shards);
         println!(
@@ -125,28 +103,11 @@ fn main() {
             report.utilization() * 100.0,
             report.cache.hit_ratio(),
         );
-        if let Some(j) = args.iter().position(|a| a == "--json") {
-            let path = args.get(j + 1).expect("--json needs a path");
-            std::fs::write(path, serde_json::to_string_pretty(&report).expect("serialize"))
-                .expect("write json");
-            eprintln!("wrote {path}");
+        if let Some(path) = &json {
+            write_json(path, &report);
         }
-        if let Some(path) = &profile {
-            obs::finish_profile(path);
-        }
-        obs::finish_timelines();
-        return;
-    }
-
-    if let Some(i) = args.iter().position(|a| a == "--fig8-point") {
-        let raw = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--fig8-point needs MB:BLOCK");
-            std::process::exit(2);
-        });
-        let (mb, block) = parse_fig8_point(&raw).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
+    } else if let Some(raw) = fig8_point {
+        let (mb, block) = or_exit(parse_fig8_point(&raw));
         // Through the sweep harness (a 1-point sweep) so a profiled run
         // carries a host worker track alongside the simulated-process
         // tracks — the trace then demonstrates both clock domains.
@@ -180,19 +141,18 @@ fn main() {
             r.obs.disks.seeks,
             r.obs.disks.sequential_accesses,
         );
-        if let Some(j) = args.iter().position(|a| a == "--json") {
-            let path = args.get(j + 1).expect("--json needs a path");
-            std::fs::write(path, serde_json::to_string_pretty(&r).expect("serialize"))
-                .expect("write json");
-            eprintln!("wrote {path}");
+        if let Some(path) = &json {
+            write_json(path, &r);
         }
-        if let Some(path) = &profile {
-            obs::finish_profile(path);
-        }
-        obs::finish_timelines();
-        return;
+    } else {
+        figures(scale, json.as_deref(), dfg_out.as_deref());
     }
+    opts.finish();
+}
 
+/// The default run: Figures 6–8, the n+1 rule, and optionally the
+/// directly-follows analysis of the figure traces.
+fn figures(scale: Scale, json: Option<&str>, dfg_out: Option<&str>) {
     for (label, fig) in [("Figure 6", fig6(scale, 42)), ("Figure 7", fig7(scale, 42))] {
         println!(
             "{label}: 2 x venus, {} MB cache — idle {:.1}s, utilization {:.1}%, disk-traffic CV {:.2}",
@@ -207,14 +167,10 @@ fn main() {
     println!("{}", render_fig8(&f8));
     let np1 = nplus1(&[1, 2, 4], scale, 42);
     println!("{}", render_nplus1(&np1));
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, serde_json::to_string_pretty(&f8).expect("serialize"))
-            .expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = json {
+        write_json(path, &f8);
     }
-    if let Some(i) = args.iter().position(|a| a == "--dfg-out") {
-        let path = args.get(i + 1).expect("--dfg-out needs a path");
+    if let Some(path) = dfg_out {
         let store = experiments::TraceStore::global();
         let subjects = experiments::dfg::figure_subjects(42);
         let report = experiments::dfg::dfg_for_subjects(store, &subjects, scale)
@@ -234,8 +190,4 @@ fn main() {
             dot.display()
         );
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
 }

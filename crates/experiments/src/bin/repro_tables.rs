@@ -5,31 +5,21 @@ use experiments::extras::{
     amdahl_table, compression_table, render_amdahl, render_compression,
 };
 use experiments::tables::{render_table1, render_table2, table1};
-use experiments::Scale;
+use experiments::options::{or_exit, take_flag, write_json};
+use experiments::{RunOptions, Scale, Scope};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
-    let profile = match experiments::apply_standard_flags(&mut args) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(RunOptions::from_process(&mut args, Scope::Repro));
+    let json = or_exit(take_flag(&mut args, "--json"));
     let scale = if args.iter().any(|a| a == "--quick") { Scale(8) } else { Scale::FULL };
     let result = table1(scale, 42);
     println!("{}", render_table1(&result));
     println!("{}", render_table2(&result));
     println!("{}", render_compression(&compression_table(scale, 42)));
     println!("{}", render_amdahl(&amdahl_table(scale, 42)));
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, serde_json::to_string_pretty(&result).expect("serialize"))
-            .expect("write json");
-        eprintln!("wrote {path}");
+    if let Some(path) = &json {
+        write_json(path, &result);
     }
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
-    obs::finish_timelines();
+    opts.finish();
 }

@@ -17,9 +17,8 @@
 //! ([`run_campaign_in`]) the replays stream from spilled frame files
 //! instead, bounding residency to the live cursors' decoded blocks.
 //! The report is a [`iosim::ClusterReport`], byte-identical at any
-//! shard count and in either replay mode — the shard knob (`--shards` /
-//! `MILLER_SHARDS`, see [`crate::shard_count`]) only changes how fast
-//! the answer arrives.
+//! shard count and in either replay mode — the shard knob (`--shards`,
+//! see [`crate::RunOptions`]) only changes how fast the answer arrives.
 
 use crate::runner::Scale;
 use crate::trace_store::TraceStore;

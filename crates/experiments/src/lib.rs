@@ -28,6 +28,7 @@ pub mod extras;
 pub mod figures;
 pub mod modern;
 pub mod nplus1;
+pub mod options;
 pub mod par_sweep;
 pub mod render;
 pub mod runner;
@@ -36,11 +37,8 @@ pub mod trace_store;
 
 pub use campaign::{run_campaign, run_campaign_in, CampaignSpec};
 pub use modern::{modern_comparison, render_modern, DeviceEra, ModernComparison};
-pub use par_sweep::{
-    apply_devices_flag, apply_progress_flag, apply_shards_flag, apply_standard_flags,
-    apply_threads_flag, apply_trace_dir_flag, apply_trace_mem_budget_flag, modern_devices,
-    par_sweep, progress_enabled, serial_sweep, shard_count, thread_count,
-};
+pub use options::{RunOptions, Scope};
+pub use par_sweep::{par_sweep, progress_enabled, serial_sweep, thread_count};
 pub use runner::{app_events, app_trace, scaled_spec, Scale};
 pub use trace_store::{
     SpilledCursor, StoreConfig, StoreFootprint, TraceArtifact, TraceStore, SPILL_BLOCK_EVENTS,

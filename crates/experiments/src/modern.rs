@@ -24,7 +24,7 @@
 //! and `cmp`s the JSON, extending the byte-identical contract to the
 //! queue-aware models.
 
-use crate::par_sweep::{par_sweep, shard_count};
+use crate::par_sweep::par_sweep;
 use crate::runner::Scale;
 use crate::trace_store::TraceStore;
 use buffer_cache::WritePolicy;
@@ -151,8 +151,9 @@ fn modern_cluster(scale: Scale, shards: usize) -> ClusterReport {
 }
 
 /// Run the full 1991-vs-2026 comparison: the Figure 8 cache sweep under
-/// both eras plus the embedded modern cluster run.
-pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
+/// both eras plus the embedded modern cluster run on `shards` worker
+/// threads (the result is the same at any shard count).
+pub fn modern_comparison(scale: Scale, seed: u64, shards: usize) -> ModernComparison {
     let sizes = [4u64, 8, 16, 32, 64, 128, 256];
     let mut jobs = Vec::with_capacity(sizes.len() * 2);
     for era in [DeviceEra::Era1991, DeviceEra::Era2026] {
@@ -192,7 +193,7 @@ pub fn modern_comparison(scale: Scale, seed: u64) -> ModernComparison {
         era_1991,
         era_2026,
         modern_obs,
-        cluster: modern_cluster(scale, shard_count()),
+        cluster: modern_cluster(scale, shards),
     }
 }
 
@@ -290,7 +291,7 @@ mod tests {
 
     #[test]
     fn comparison_answers_the_claim_question() {
-        let c = modern_comparison(QUICK, 42);
+        let c = modern_comparison(QUICK, 42, 1);
         assert_eq!(c.era_1991.len(), 7);
         assert_eq!(c.era_2026.len(), 7);
         // The 1991 run reproduces the paper: near-full utilization at the

@@ -18,199 +18,38 @@
 //! The pool is plain `std::thread::scope` rather than rayon: this build
 //! environment has no registry access, and a work-stealing scheduler
 //! buys nothing for coarse tasks that each run for milliseconds to
-//! seconds. The thread count honors `MILLER_THREADS` then
-//! `RAYON_NUM_THREADS` (the variable rayon users already export), then
-//! falls back to the machine's available parallelism.
+//! seconds. The thread count is `--threads` (see [`crate::RunOptions`]),
+//! else the machine's available parallelism.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Number of worker threads a sweep will use.
-///
-/// `MILLER_THREADS` wins over `RAYON_NUM_THREADS`; both accept a
-/// positive integer. Unset/invalid values fall back to the number of
-/// available cores.
+/// Sweep pool size set by [`configure`]; 0 means "one per core".
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Sweep heartbeat switch set by [`configure`].
+static PROGRESS: AtomicBool = AtomicBool::new(false);
+
+/// Set the process-wide sweep pool size (`None`: one thread per
+/// available core) and heartbeat. [`crate::RunOptions::install`] calls
+/// this once from `main`.
+pub fn configure(threads: Option<usize>, progress: bool) {
+    THREADS.store(threads.unwrap_or(0), Ordering::Relaxed);
+    PROGRESS.store(progress, Ordering::Relaxed);
+}
+
+/// Number of worker threads a sweep will use: the configured count,
+/// else the number of available cores.
 pub fn thread_count() -> usize {
-    for var in ["MILLER_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(raw) = std::env::var(var) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Consume a `--threads N` flag from a binary's argument list, exporting
-/// it as `MILLER_THREADS` so every subsequent sweep (and any child the
-/// process spawns) sees it. Returns an error message when the flag is
-/// present but malformed.
-pub fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--threads needs a value".into());
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => {
-            std::env::set_var("MILLER_THREADS", n.to_string());
-            Ok(())
-        }
-        _ => Err(format!("--threads needs a positive integer, got `{raw}`")),
+    match THREADS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
     }
 }
 
-/// Number of engine shards a sharded campaign will use.
-///
-/// Reads `MILLER_SHARDS` (a positive integer); unset/invalid values
-/// default to 1 — sharding is opt-in, and one shard is always correct
-/// because the report is shard-count-invariant by construction.
-pub fn shard_count() -> usize {
-    std::env::var("MILLER_SHARDS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Consume a `--shards N` flag from a binary's argument list, exporting
-/// it as `MILLER_SHARDS` so every subsequent sharded run (and any child
-/// the process spawns) sees it. Returns an error message when the flag
-/// is present but malformed.
-pub fn apply_shards_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--shards") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--shards needs a value".into());
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => {
-            std::env::set_var("MILLER_SHARDS", n.to_string());
-            Ok(())
-        }
-        _ => Err(format!("--shards needs a positive integer, got `{raw}`")),
-    }
-}
-
-/// Consume a `--trace-dir PATH` flag, exporting it as `MILLER_TRACE_DIR`
-/// so the global [`crate::TraceStore`] spills to (and reuses frame files
-/// from) that directory. Returns an error message when the flag is
-/// present but missing its value.
-pub fn apply_trace_dir_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--trace-dir") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--trace-dir needs a path".into());
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    // A path can't fail to parse the way the numeric flags do, so catch
-    // the swallowed-flag mistake (`--trace-dir --quick`) explicitly.
-    if raw.trim().is_empty() || raw.starts_with("--") {
-        return Err(format!("--trace-dir needs a path, got `{raw}`"));
-    }
-    std::env::set_var("MILLER_TRACE_DIR", raw);
-    Ok(())
-}
-
-/// Consume a `--trace-mem-budget MB` flag, exporting it as
-/// `MILLER_TRACE_MEM_BUDGET` so the global [`crate::TraceStore`] bounds
-/// resident trace bytes and streams replays from spilled frame files
-/// (a one-line stderr note announces the first spill). Returns an error
-/// message when the flag is present but malformed.
-pub fn apply_trace_mem_budget_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--trace-mem-budget") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--trace-mem-budget needs a value in MB".into());
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    match raw.trim().parse::<usize>() {
-        Ok(mb) => {
-            std::env::set_var("MILLER_TRACE_MEM_BUDGET", mb.to_string());
-            Ok(())
-        }
-        _ => Err(format!("--trace-mem-budget needs an integer MB count, got `{raw}`")),
-    }
-}
-
-/// True when `--devices modern` selected the 2026 hardware rerun:
-/// `MILLER_DEVICES` equals `modern`. Unset, `paper`, or `1991` mean the
-/// byte-identical paper-faithful device models.
-pub fn modern_devices() -> bool {
-    std::env::var("MILLER_DEVICES").is_ok_and(|v| v.trim() == "modern")
-}
-
-/// Consume a `--devices ERA` flag, exporting it as `MILLER_DEVICES`.
-/// Accepted eras: `paper` / `1991` (the default Y-MP devices) and
-/// `modern` (the 2026 tiered hierarchy rerun). Returns an error message
-/// when the flag is present but missing or naming an unknown era.
-pub fn apply_devices_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--devices") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--devices needs an era (paper|1991|modern)".into());
-    }
-    let raw = args.remove(i + 1);
-    args.remove(i);
-    match raw.trim() {
-        "paper" | "1991" | "modern" => {
-            std::env::set_var("MILLER_DEVICES", raw.trim());
-            Ok(())
-        }
-        _ => Err(format!("--devices needs one of paper|1991|modern, got `{raw}`")),
-    }
-}
-
-/// True when the sweep heartbeat reporter is on: `MILLER_PROGRESS` set
-/// to anything non-empty other than `0`.
+/// True when the sweep heartbeat reporter is on (`--progress`).
 pub fn progress_enabled() -> bool {
-    std::env::var("MILLER_PROGRESS").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Consume a `--progress` flag from a binary's argument list, exporting
-/// `MILLER_PROGRESS=1` so every subsequent sweep reports a heartbeat.
-pub fn apply_progress_flag(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--progress") {
-        args.remove(i);
-        std::env::set_var("MILLER_PROGRESS", "1");
-    }
-}
-
-/// Apply the flag set every repro binary shares, in the required order:
-/// `--threads N`, `--shards N`, `--trace-dir PATH`,
-/// `--trace-mem-budget MB` (both of which must run before the first
-/// trace-store access, which every repro main defers until after flag
-/// parsing), `--devices ERA`, `--progress`, `--timeline NS` /
-/// `--timeline-out PATH` (which must run before the first simulation is
-/// constructed), `--profile-capacity N` (which must precede `--profile`
-/// so the ring is sized before recording can allocate it), then
-/// `--profile PATH`. Returns the profile output path to hand to
-/// [`obs::finish_profile`], or the first flag error. Timeline output is
-/// written separately by [`obs::finish_timelines`].
-pub fn apply_standard_flags(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    apply_threads_flag(args)?;
-    apply_shards_flag(args)?;
-    apply_trace_dir_flag(args)?;
-    apply_trace_mem_budget_flag(args)?;
-    apply_devices_flag(args)?;
-    apply_progress_flag(args);
-    obs::apply_timeline_flags(args)?;
-    obs::apply_profile_capacity_flag(args)?;
-    obs::apply_profile_flag(args)
+    PROGRESS.load(Ordering::Relaxed)
 }
 
 /// Throttled stderr heartbeat for a sweep: points completed, simulated
@@ -269,7 +108,7 @@ impl Progress {
 ///
 /// Observability: when span profiling is enabled each worker thread gets
 /// a host-domain Perfetto track carrying one `point` span per sweep
-/// point; when `MILLER_PROGRESS`/`--progress` is set a throttled
+/// point; when `--progress` is set a throttled
 /// heartbeat goes to stderr. Neither affects the results.
 pub fn par_sweep<P, R, F>(params: &[P], run: F) -> Vec<R>
 where
@@ -414,47 +253,5 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    // Only the error paths: the happy path exports MILLER_SHARDS, and
-    // tests in one binary run concurrently, so it is exercised end-to-end
-    // by the CI determinism guard (`repro-sim --campaign ... --shards 4`)
-    // instead of here.
-    // Error paths only, for the same reason as the shards flag below:
-    // the happy path mutates process-global env vars, which races the
-    // other tests in this binary; it is exercised end-to-end by the CI
-    // streamed-replay cmp guard (`repro-sim --campaign ...
-    // --trace-mem-budget 1 --trace-dir ...`).
-    #[test]
-    fn trace_flags_reject_bad_values() {
-        let mut missing_dir: Vec<String> = ["bin", "--trace-dir"].map(String::from).into();
-        assert!(apply_trace_dir_flag(&mut missing_dir).is_err());
-        let mut empty_dir: Vec<String> = ["bin", "--trace-dir", "  "].map(String::from).into();
-        assert!(apply_trace_dir_flag(&mut empty_dir).is_err());
-        let mut ate_flag: Vec<String> =
-            ["bin", "--trace-dir", "--quick"].map(String::from).into();
-        assert!(apply_trace_dir_flag(&mut ate_flag).is_err(), "a flag is not a path");
-        let mut missing_mb: Vec<String> = ["bin", "--trace-mem-budget"].map(String::from).into();
-        assert!(apply_trace_mem_budget_flag(&mut missing_mb).is_err());
-        let mut junk_mb: Vec<String> =
-            ["bin", "--trace-mem-budget", "lots"].map(String::from).into();
-        assert!(apply_trace_mem_budget_flag(&mut junk_mb).is_err());
-        let mut absent: Vec<String> = ["bin", "--quick"].map(String::from).into();
-        assert!(apply_trace_dir_flag(&mut absent).is_ok());
-        assert!(apply_trace_mem_budget_flag(&mut absent).is_ok());
-        assert_eq!(absent.len(), 2, "absent flags leave the args untouched");
-    }
-
-    #[test]
-    fn shards_flag_rejects_bad_values() {
-        let mut missing: Vec<String> = ["bin", "--shards"].map(String::from).into();
-        assert!(apply_shards_flag(&mut missing).is_err());
-        let mut zero: Vec<String> = ["bin", "--shards", "0"].map(String::from).into();
-        assert!(apply_shards_flag(&mut zero).is_err());
-        let mut junk: Vec<String> = ["bin", "--shards", "many"].map(String::from).into();
-        assert!(apply_shards_flag(&mut junk).is_err());
-        let mut absent: Vec<String> = ["bin", "--quick"].map(String::from).into();
-        assert!(apply_shards_flag(&mut absent).is_ok());
-        assert_eq!(absent.len(), 2);
     }
 }

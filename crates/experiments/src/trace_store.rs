@@ -34,9 +34,9 @@
 //! live count and byte estimate.
 //!
 //! When a memory budget is configured ([`StoreConfig::mem_budget`], or
-//! `MILLER_TRACE_MEM_BUDGET` in MB for the global store), the store
-//! encodes traces into `stream_v2` binary frame files under the spill
-//! directory ([`StoreConfig::spill_dir`] / `MILLER_TRACE_DIR`, or a
+//! `--trace-mem-budget` in MB for the global store), the store encodes
+//! traces into `stream_v2` binary frame files under the spill directory
+//! ([`StoreConfig::spill_dir`] / `--trace-dir`, or a
 //! per-process directory under the OS temp dir) and the replay path
 //! ([`TraceStore::feed`]) hands out streaming cursors instead of whole
 //! slices: one decoded block (≤ [`SPILL_BLOCK_EVENTS`] events ≈ 96 KB)
@@ -156,7 +156,7 @@ impl TraceArtifact {
 }
 
 /// Spill configuration for a [`TraceStore`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Resident-byte budget. `None` (the default) keeps every trace in
     /// memory; `Some(bytes)` spills least-recently-used traces to frame
@@ -166,23 +166,6 @@ pub struct StoreConfig {
     /// under the OS temp dir; `Some(dir)` additionally turns the
     /// directory into a persistent trace cache reused across runs.
     pub spill_dir: Option<PathBuf>,
-}
-
-impl StoreConfig {
-    /// Read the process-wide configuration: `MILLER_TRACE_MEM_BUDGET`
-    /// (in MB) and `MILLER_TRACE_DIR`. Unset or unparsable values mean
-    /// "keep everything resident" / "use the temp dir".
-    pub fn from_env() -> StoreConfig {
-        let mem_budget = std::env::var("MILLER_TRACE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|mb| mb * 1024 * 1024);
-        let spill_dir = std::env::var("MILLER_TRACE_DIR")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        StoreConfig { mem_budget, spill_dir }
-    }
 }
 
 /// Exact resident-byte accounting, shared by the store, its spilled
@@ -376,13 +359,15 @@ pub struct StoreFootprint {
     pub peak_bytes: usize,
 }
 
+static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
+
 /// A concurrent, memoizing store of generated application traces.
 ///
 /// `events`/`artifact` generate each `(app, pid, seed, scale)` trace
 /// exactly once — even when many sweep worker threads request it
 /// simultaneously — and hand out cheap `Arc` clones thereafter. All the
 /// sweep entry points in this crate share one process-wide instance via
-/// [`TraceStore::global`] (which reads [`StoreConfig::from_env`]);
+/// [`TraceStore::global`] (configured by [`TraceStore::init_global`]);
 /// benches that need cold/warm control construct their own.
 ///
 /// [`TraceStore::feed`] is the replay handle: a shared slice when the
@@ -420,11 +405,19 @@ impl TraceStore {
         }
     }
 
-    /// The process-wide shared store used by every sweep entry point,
-    /// configured from `MILLER_TRACE_MEM_BUDGET` / `MILLER_TRACE_DIR`.
+    /// The process-wide shared store used by every sweep entry point:
+    /// configured by [`TraceStore::init_global`], else keeping every
+    /// trace resident.
     pub fn global() -> &'static TraceStore {
-        static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
-        GLOBAL.get_or_init(|| TraceStore::with_config(StoreConfig::from_env()))
+        GLOBAL.get_or_init(TraceStore::new)
+    }
+
+    /// Configure [`TraceStore::global`]. Only the first configuration
+    /// counts, so call it before anything touches the store;
+    /// [`crate::RunOptions::install`] does. Returns false when the store
+    /// already existed.
+    pub fn init_global(config: StoreConfig) -> bool {
+        GLOBAL.set(TraceStore::with_config(config)).is_ok()
     }
 
     /// Whether replays from this store stream from disk ([`feed`]

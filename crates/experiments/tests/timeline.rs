@@ -3,13 +3,13 @@
 //! byte-identical to a plain run, and the timeline JSON itself is
 //! byte-identical at any shard count.
 //!
-//! One `#[test]` runs every phase in sequence: the sampler is
-//! configured through the `MILLER_TIMELINE` process environment, so the
-//! phases must not interleave with each other (this integration test
-//! binary runs alone in its own process, making the env mutation safe).
+//! One `#[test]` runs every phase in sequence: the sample interval is
+//! process-wide state (`obs::timeline::set_interval_ns`, what
+//! `--timeline` sets), so the phases must not interleave with each other.
 
 use experiments::figures::two_venus_report;
 use experiments::{run_campaign, CampaignSpec, Scale};
+use obs::timeline::set_interval_ns;
 use serde_json::to_string_pretty;
 
 /// A fig8-style point, serialized exactly like `repro-sim --json`.
@@ -38,13 +38,13 @@ fn drain_timeline_json() -> String {
 #[test]
 fn timelines_never_perturb_results_and_are_shard_invariant() {
     // Phase 1: baseline, sampling off.
-    std::env::remove_var("MILLER_TIMELINE");
+    set_interval_ns(None);
     let fig8_plain = fig8_json();
     let campaign_plain = campaign_json(1);
     assert!(obs::timeline::drain().is_empty(), "no timelines published while off");
 
     // Phase 2: sampling on — results must not move by a byte.
-    std::env::set_var("MILLER_TIMELINE", "1000000"); // 1 ms grid
+    set_interval_ns(Some(1_000_000)); // 1 ms grid
     let fig8_sampled = fig8_json();
     let fig8_timeline = drain_timeline_json();
     assert_eq!(fig8_plain, fig8_sampled, "fig8 report changed with --timeline on");
@@ -58,7 +58,7 @@ fn timelines_never_perturb_results_and_are_shard_invariant() {
 
     // Phase 3: the sharded engine — report and timeline are both pure
     // functions of the spec, never of the shard count.
-    std::env::set_var("MILLER_TIMELINE", "100000000"); // 100 ms grid
+    set_interval_ns(Some(100_000_000)); // 100 ms grid
     let c1 = campaign_json(1);
     let t1 = drain_timeline_json();
     let c4 = campaign_json(4);
@@ -68,5 +68,5 @@ fn timelines_never_perturb_results_and_are_shard_invariant() {
     assert_eq!(t1, t4, "merged timeline depends on shard count");
     assert!(t1.contains("\"timelines\":["), "rendered JSON shape");
 
-    std::env::remove_var("MILLER_TIMELINE");
+    set_interval_ns(None);
 }

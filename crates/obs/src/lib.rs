@@ -19,7 +19,7 @@
 //! * **Exporter** ([`perfetto`]) — serializes the recorder into Chrome
 //!   trace-event JSON loadable by `ui.perfetto.dev` (and `chrome://
 //!   tracing`). Wired into every `repro_*` binary via `--profile <path>`
-//!   or `MILLER_PROFILE=<path>` (see [`profile::apply_profile_flag`]).
+//!   (written by [`profile::finish_profile`]).
 //!
 //! The crate deliberately depends only on `sim-core` (for
 //! [`sim_core::Histogram`] in the disk counters); every other crate in
@@ -36,11 +36,10 @@ pub mod timeline;
 pub use counters::{CacheCounters, DiskCounters, ObsReport, SchedCounters};
 pub use perfetto::{chrome_trace_json, export_chrome_trace, ExportSummary};
 pub use profile::{
-    add_sim_events, apply_profile_capacity_flag, apply_profile_flag, finish_profile, next_sim_id,
-    next_sweep_id, sim_events_total,
+    add_sim_events, finish_profile, next_sim_id, next_sweep_id, sim_events_total,
 };
 pub use recorder::{
-    complete, configured_capacity, counter, enabled, host_now_ns, init, instant, register_track,
-    reset, set_enabled, summary, Domain, RecorderSummary, Track,
+    complete, counter, enabled, host_now_ns, init, instant, register_track, reset, set_enabled,
+    summary, Domain, RecorderSummary, Track,
 };
-pub use timeline::{apply_timeline_flags, finish_timelines, Timeline, TimelineData};
+pub use timeline::{finish_timelines, Timeline, TimelineData};

@@ -1,74 +1,12 @@
-//! Profiling session plumbing shared by every binary: the `--profile`
-//! flag / `MILLER_PROFILE` env handshake, stable label counters for
-//! tracks, and the process-wide simulated-event counter the sweep
-//! heartbeat reads its ev/s from.
+//! Profiling session plumbing shared by every binary: writing the
+//! `--profile` trace, stable label counters for tracks, and the
+//! process-wide simulated-event counter the sweep heartbeat reads its
+//! ev/s from.
 
 use crate::perfetto::export_chrome_trace;
-use crate::recorder::{init, set_enabled, summary};
+use crate::recorder::{set_enabled, summary};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Consume a `--profile-capacity <events>` flag from `args`, sizing the
-/// flight-recorder ring before anything allocates it. The value is also
-/// exported as `MILLER_PROFILE_CAPACITY` so lazily-initialized recorders
-/// (and child processes) agree. Returns the capacity when the flag (or a
-/// pre-existing `MILLER_PROFILE_CAPACITY`) was present, `None` when
-/// defaulted, or an error message for a malformed flag.
-///
-/// Call this *before* [`apply_profile_flag`]: once `--profile` enables
-/// recording, the first emit allocates the ring and the capacity is
-/// locked in ("first capacity wins").
-pub fn apply_profile_capacity_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
-    let capacity = match args.iter().position(|a| a == "--profile-capacity") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err("--profile-capacity needs an event count".into());
-            }
-            let raw = args.remove(i + 1);
-            args.remove(i);
-            match raw.trim().parse::<usize>() {
-                Ok(c) if c >= 1 => Some(c),
-                _ => {
-                    return Err(format!(
-                        "--profile-capacity needs a positive event count, got `{raw}`"
-                    ))
-                }
-            }
-        }
-        None => std::env::var("MILLER_PROFILE_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c >= 1),
-    };
-    if let Some(c) = capacity {
-        std::env::set_var("MILLER_PROFILE_CAPACITY", c.to_string());
-        init(c);
-    }
-    Ok(capacity)
-}
-
-/// Consume a `--profile <path>` flag from `args` (falling back to the
-/// `MILLER_PROFILE` environment variable) and, when a path is present,
-/// enable span recording immediately. Returns the output path to pass to
-/// [`finish_profile`] once the profiled work is done, or an error
-/// message for a malformed flag.
-pub fn apply_profile_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    let path = match args.iter().position(|a| a == "--profile") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                return Err("--profile needs an output path".into());
-            }
-            let p = args.remove(i + 1);
-            args.remove(i);
-            Some(p)
-        }
-        None => std::env::var("MILLER_PROFILE").ok().filter(|p| !p.is_empty()),
-    };
-    if path.is_some() {
-        set_enabled(true);
-    }
-    Ok(path)
-}
 
 /// Stop recording and write the Chrome trace-event JSON to `path`,
 /// reporting the outcome on stderr. Export failure is reported, not
@@ -80,7 +18,7 @@ pub fn finish_profile(path: &str) {
         Ok(s) => {
             let full = if s.dropped > 0 {
                 format!(
-                    " ({} more dropped: ring full, raise --profile-capacity/MILLER_PROFILE_CAPACITY)",
+                    " ({} more dropped: ring full, raise --profile-capacity)",
                     s.dropped
                 )
             } else {
@@ -142,31 +80,6 @@ pub fn next_sweep_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The happy path (`--profile out.json` consumes the flag AND enables
-    // recording) mutates the process-global enabled flag, so it lives in
-    // the recorder's single sequenced test instead of here — tests in one
-    // binary run concurrently.
-    #[test]
-    fn profile_flag_rejects_missing_path() {
-        let mut bad: Vec<String> = ["bin", "--profile"].map(String::from).into();
-        assert!(apply_profile_flag(&mut bad).is_err());
-    }
-
-    // The happy path for `--profile-capacity` lives in the recorder's
-    // sequenced test for the same reason: it allocates the process-global
-    // ring and exports an env var.
-    #[test]
-    fn profile_capacity_flag_rejects_bad_values() {
-        let mut missing: Vec<String> = ["bin", "--profile-capacity"].map(String::from).into();
-        assert!(apply_profile_capacity_flag(&mut missing).is_err());
-        let mut zero: Vec<String> =
-            ["bin", "--profile-capacity", "0"].map(String::from).into();
-        assert!(apply_profile_capacity_flag(&mut zero).is_err());
-        let mut junk: Vec<String> =
-            ["bin", "--profile-capacity", "lots"].map(String::from).into();
-        assert!(apply_profile_capacity_flag(&mut junk).is_err());
-    }
 
     #[test]
     fn sim_event_counter_accumulates() {

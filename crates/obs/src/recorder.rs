@@ -25,8 +25,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default ring capacity in events (1 Mi slots × 48 B ≈ 48 MB). Override
-/// with `--profile-capacity`/`MILLER_PROFILE_CAPACITY=<events>` (legacy
-/// spelling `MILLER_PROFILE_CAP` still honored) before the recorder
+/// with `--profile-capacity`, which calls [`init`] before the recorder
 /// first initializes.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
@@ -187,8 +186,7 @@ pub fn enabled() -> bool {
 
 /// Allocate the ring with an explicit capacity (events). Returns false
 /// when a recorder already exists (the first capacity wins). Without an
-/// explicit call, the first enable allocates [`configured_capacity`]
-/// slots.
+/// explicit call, the first enable allocates [`DEFAULT_CAPACITY`] slots.
 pub fn init(capacity: usize) -> bool {
     let mut fresh = false;
     RECORDER.get_or_init(|| {
@@ -198,25 +196,8 @@ pub fn init(capacity: usize) -> bool {
     fresh
 }
 
-/// The ring capacity the environment asks for:
-/// `MILLER_PROFILE_CAPACITY`, then the legacy `MILLER_PROFILE_CAP`
-/// spelling, then [`DEFAULT_CAPACITY`]. This is what a lazily-created
-/// recorder allocates; an explicit [`init`] beforehand overrides it.
-pub fn configured_capacity() -> usize {
-    for var in ["MILLER_PROFILE_CAPACITY", "MILLER_PROFILE_CAP"] {
-        if let Ok(raw) = std::env::var(var) {
-            if let Ok(c) = raw.trim().parse::<usize>() {
-                if c >= 1 {
-                    return c;
-                }
-            }
-        }
-    }
-    DEFAULT_CAPACITY
-}
-
 fn recorder() -> &'static Recorder {
-    RECORDER.get_or_init(|| Recorder::with_capacity(configured_capacity()))
+    RECORDER.get_or_init(|| Recorder::with_capacity(DEFAULT_CAPACITY))
 }
 
 /// Turn span recording on or off. Enabling allocates the ring on first
@@ -354,30 +335,17 @@ mod tests {
     #[test]
     fn record_collect_drop_reset_and_stress() {
         assert!(!enabled(), "recording must start disabled");
-        // Size the ring through the `--profile-capacity` flag: it is
-        // consumed from the args, exported for child processes, and
-        // allocates the ring before any lazy initialization can.
-        assert_eq!(configured_capacity(), DEFAULT_CAPACITY);
-        let mut cap_args: Vec<String> =
-            ["bin", "--profile-capacity", "8", "--quick"].map(String::from).into();
-        let cap = crate::profile::apply_profile_capacity_flag(&mut cap_args).expect("well-formed");
-        assert_eq!(cap, Some(8));
-        assert_eq!(cap_args, ["bin", "--quick"]);
-        assert_eq!(std::env::var("MILLER_PROFILE_CAPACITY").as_deref(), Ok("8"));
-        assert_eq!(configured_capacity(), 8);
+        // Size the ring before anything can allocate it lazily; the
+        // first capacity wins.
+        assert!(init(8));
+        assert!(!init(16));
 
         // Disabled: emits are no-ops.
         let t = register_track(Domain::Sim, "quiet");
         complete(t, "ignored", 0, 5, None);
         assert_eq!(summary().recorded, 0);
 
-        // The `--profile` flag is both consumed from the args and enables
-        // recording (tested here because it flips the shared flag).
-        let mut args: Vec<String> =
-            ["bin", "--quick", "--profile", "out.json", "--json", "x"].map(String::from).into();
-        let path = crate::profile::apply_profile_flag(&mut args).expect("well-formed");
-        assert_eq!(path.as_deref(), Some("out.json"));
-        assert_eq!(args, ["bin", "--quick", "--json", "x"]);
+        set_enabled(true);
         assert!(enabled());
         complete(t, "a", 10, 5, Some(42));
         instant(t, "b", 20, None);

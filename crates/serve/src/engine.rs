@@ -6,10 +6,11 @@
 //! ## Why requests get cheap
 //!
 //! A one-shot `repro-sim` run pays trace generation every time it
-//! starts. The engine keeps one process-wide [`TraceStore`] alive across
-//! requests (honoring `MILLER_TRACE_DIR` / `MILLER_TRACE_MEM_BUDGET`
-//! like every repro binary), so the first request for a workload
-//! generates its traces and every later request replays them zero-copy.
+//! starts. The engine keeps one [`TraceStore`] alive across requests
+//! (configured by [`EngineConfig::store`], which `mio serve` fills from
+//! `--trace-dir` / `--trace-mem-budget`), so the first request for a
+//! workload generates its traces and every later request replays them
+//! zero-copy.
 //! On top of that:
 //!
 //! * **Canonicalization** ([`crate::canon`]): each runnable request is

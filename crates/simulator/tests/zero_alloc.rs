@@ -146,7 +146,7 @@ fn steady_state_request_path_allocates_nothing() {
     // per-event allocations. Setup costs (the per-run series vectors,
     // interned disk names, the published TimelineData) are identical in
     // the small and big runs and cancel in the differencing.
-    std::env::set_var("MILLER_TIMELINE", "1000000");
+    obs::timeline::set_interval_ns(Some(1_000_000));
     run(&small_r, &small_w);
 
     let c0 = allocs();
@@ -154,7 +154,7 @@ fn steady_state_request_path_allocates_nothing() {
     let c1 = allocs();
     run(&big_r, &big_w);
     let c2 = allocs();
-    std::env::remove_var("MILLER_TIMELINE");
+    obs::timeline::set_interval_ns(None);
     assert!(!obs::timeline::drain().is_empty(), "sampling actually ran");
 
     let extra_allocs_tl = (c2 - c1).saturating_sub(c1 - c0);

@@ -21,6 +21,8 @@
 //! corresponding one-shot `repro-sim --json` output at any worker
 //! count — CI `cmp`s them.
 
+use experiments::options::{take_flag, take_parsed, take_switch};
+use experiments::{RunOptions, Scope};
 use miller_core::{
     analyze_sequentiality, classify_trace, detect_cycles, measure_amplification,
     measure_compression, paper_targets, read_trace, translate_to_physical, write_trace, AppKind,
@@ -72,38 +74,14 @@ USAGE:
   mio simulate <FILE>... [--cache MB|ssd|none] [--policy behind|through|sprite]
                [--no-readahead] [--cpus N]
   mio serve  (--socket PATH | --tcp ADDR) [--workers N] [--max-inflight N]
-             [--cache-cap N] [--drain-timeout SECS] [--threads N] [--shards N]
+             [--cache-cap N] [--drain-timeout SECS] [--threads N]
              [--trace-dir DIR] [--trace-mem-budget MB] [--profile PATH] [--progress]
   mio submit (--socket PATH | --tcp ADDR)
              (--fig8-point MB:BLOCK [--quick] | --campaign GxP [--shards N]
               | --stats | --shutdown)
-             [--scale K] [--seed N] [--client NAME] [--json FILE]
+             [--scale K] [--seed N] [--client NAME] [--json FILE] [--progress]
   mio stats  (--socket PATH | --tcp ADDR) [--prom]
 ";
-
-/// Pull the value following `flag` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        Ok(Some(v))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Pull a bare switch out of `args`.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
 
 fn cmd_apps() -> Result<(), String> {
     println!("{:<7} {:>8} {:>9} {:>9} {:>7}", "app", "cpu(s)", "totIO(MB)", "MB/s", "R/W");
@@ -123,14 +101,8 @@ fn cmd_apps() -> Result<(), String> {
 
 fn cmd_generate(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
-    let seed = take_flag(&mut args, "--seed")?
-        .map(|v| v.parse::<u64>().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(42);
-    let scale = take_flag(&mut args, "--scale")?
-        .map(|v| v.parse::<u32>().map_err(|_| "bad --scale".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let seed = take_parsed::<u64>(&mut args, "--seed")?.unwrap_or(42);
+    let scale = take_parsed::<u32>(&mut args, "--scale")?.unwrap_or(1);
     let out = take_flag(&mut args, "-o")?;
     let name = args.first().ok_or("generate needs an application name")?;
     let kind = AppKind::from_name(name)
@@ -231,10 +203,7 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
     let cache = take_flag(&mut args, "--cache")?.unwrap_or_else(|| "32".to_string());
     let policy = take_flag(&mut args, "--policy")?.unwrap_or_else(|| "behind".to_string());
-    let cpus = take_flag(&mut args, "--cpus")?
-        .map(|v| v.parse::<usize>().map_err(|_| "bad --cpus".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let cpus = take_parsed::<usize>(&mut args, "--cpus")?.unwrap_or(1);
     let no_ra = take_switch(&mut args, "--no-readahead");
     if args.is_empty() {
         return Err("simulate needs at least one trace file".into());
@@ -313,24 +282,16 @@ fn take_endpoint(args: &mut Vec<String>) -> Result<serve::Endpoint, String> {
     }
 }
 
-fn parse_count(v: Option<String>, flag: &str, default: usize) -> Result<usize, String> {
-    v.map(|s| s.parse::<usize>().map_err(|_| format!("bad {flag}")))
-        .transpose()
-        .map(|n| n.unwrap_or(default))
-}
-
 fn cmd_serve(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
-    // Standard repro flags first: --threads/--shards/--trace-dir/
-    // --trace-mem-budget/--progress/--profile[-capacity] all apply to
-    // the daemon exactly as they do to the one-shot binaries.
-    let profile = experiments::apply_standard_flags(&mut args)?;
+    // The daemon takes every run option except the per-run --shards and
+    // --devices: each served campaign carries its own shard count.
+    let opts = RunOptions::from_process(&mut args, Scope::Service)?;
     let endpoint = take_endpoint(&mut args).map_err(|e| format!("serve: {e}"))?;
-    let workers =
-        parse_count(take_flag(&mut args, "--workers")?, "--workers", experiments::thread_count())?;
-    let max_inflight = parse_count(take_flag(&mut args, "--max-inflight")?, "--max-inflight", 256)?;
-    let cache_cap = parse_count(take_flag(&mut args, "--cache-cap")?, "--cache-cap", 512)?;
-    let drain_secs = parse_count(take_flag(&mut args, "--drain-timeout")?, "--drain-timeout", 30)?;
+    let workers = take_parsed(&mut args, "--workers")?.unwrap_or_else(experiments::thread_count);
+    let max_inflight = take_parsed(&mut args, "--max-inflight")?.unwrap_or(256);
+    let cache_cap = take_parsed(&mut args, "--cache-cap")?.unwrap_or(512);
+    let drain_secs = take_parsed(&mut args, "--drain-timeout")?.unwrap_or(30);
     if let Some(stray) = args.first() {
         return Err(format!("serve: unexpected argument `{stray}`"));
     }
@@ -343,15 +304,13 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             workers,
             max_inflight,
             result_cache: cache_cap,
-            store: experiments::StoreConfig::from_env(),
+            store: opts.store.clone(),
         },
-        drain_timeout: std::time::Duration::from_secs(drain_secs as u64),
+        drain_timeout: std::time::Duration::from_secs(drain_secs),
     })?;
     // Part of graceful shutdown: the flight recorder flushes after the
     // drain, so a SIGINT'd daemon still leaves a complete timeline.
-    if let Some(path) = &profile {
-        obs::finish_profile(path);
-    }
+    opts.finish();
     Ok(())
 }
 
@@ -361,14 +320,9 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
 /// one-shot binary byte for byte.
 fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
     let quick = take_switch(args, "--quick");
-    let scale = take_flag(args, "--scale")?
-        .map(|v| v.parse::<u32>().map_err(|_| "bad --scale".to_string()))
-        .transpose()?;
-    let seed = take_flag(args, "--seed")?
-        .map(|v| v.parse::<u64>().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(42);
-    let shards = parse_count(take_flag(args, "--shards")?, "--shards", 1)?;
+    let scale = take_parsed::<u32>(args, "--scale")?;
+    let seed = take_parsed::<u64>(args, "--seed")?.unwrap_or(42);
+    let shards = take_parsed(args, "--shards")?.unwrap_or(1);
     let fig8 = take_flag(args, "--fig8-point")?;
     let campaign = take_flag(args, "--campaign")?;
     let stats = take_switch(args, "--stats");
@@ -414,6 +368,8 @@ fn submit_body(args: &mut Vec<String>) -> Result<serve::RequestBody, String> {
 
 fn cmd_submit(rest: &[String]) -> Result<(), String> {
     let mut args = rest.to_vec();
+    // Only the heartbeat: `--shards` here belongs to the request.
+    RunOptions::from_process(&mut args, Scope::Client)?;
     let endpoint = take_endpoint(&mut args).map_err(|e| format!("submit: {e}"))?;
     let json = take_flag(&mut args, "--json")?;
     let client = take_flag(&mut args, "--client")?;

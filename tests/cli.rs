@@ -90,3 +90,19 @@ fn translate_then_simulate() {
     assert!(ok);
     assert!(out.contains("2 CPUs"));
 }
+
+#[test]
+fn submit_accepts_progress_and_serve_refuses_shards() {
+    let socket = tmp("no-daemon.sock");
+    let _ = std::fs::remove_file(&socket);
+    let (_, err, ok) = mio(&["submit", "--socket", &socket, "--progress", "--stats"]);
+    assert!(!ok);
+    assert!(!err.contains("unexpected argument"), "--progress refused: {err}");
+    assert!(err.contains(&format!("connect {socket}")), "fails on the connect: {err}");
+
+    // An unbindable address, so a daemon that took the flag fails too
+    // instead of serving forever.
+    let (_, err, ok) = mio(&["serve", "--tcp", "not-an-address", "--shards", "4"]);
+    assert!(!ok);
+    assert!(err.contains("unexpected argument `--shards`"), "{err}");
+}
