@@ -14,6 +14,8 @@
 //! * [`dfg`] — per-process directly-follows graphs streamed from binary
 //!   frame files (post-1991 structure the paper's tables can't show).
 
+#![forbid(unsafe_code)]
+
 pub mod amdahl;
 pub mod burst;
 pub mod classify;

@@ -18,6 +18,8 @@
 //! it with the workload generator to show *why* venus's author chose a
 //! tiny array.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use sim_core::{EventQueue, SimDuration, SimTime};
 

@@ -41,6 +41,8 @@
 //! assert!(!next.prefetch.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod lru;

@@ -28,12 +28,14 @@
 //! assert!(sim.utilization() > 0.2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use batch_queue::{BatchMachine, Job, JobOutcome, QueueDef};
 pub use buffer_cache::{BlockCache, CacheConfig, CacheStats, WritePolicy};
 pub use fs_map::{measure as measure_amplification, translate as translate_to_physical, Amplification, FsConfig, FsLayout};
 pub use experiments::{
     ablations, app_events, app_trace, claims, extras, figures, modern, nplus1, par_sweep, render,
-    run_campaign, run_campaign_in, scaled_spec, serial_sweep, tables, thread_count,
+    run_campaign, run_campaign_in, scaled_spec, tables, thread_count,
     CampaignSpec, ModernComparison, Scale, StoreConfig, StoreFootprint, TraceArtifact, TraceStore,
 };
 pub use iosim::{CacheTier, ClusterReport, DeviceSpec, SchedParams, SimConfig, SimReport, Simulation};

@@ -9,8 +9,8 @@
 //! `--fig8-point MB:BLOCK` runs a single Figure 8 sweep point (e.g.
 //! `32:4096` = 32 MB cache, 4 KiB blocks) instead of the full set —
 //! the cheap way to capture a sample trace in CI; `--json PATH` writes
-//! its [`iosim::SimReport`] (the `mio serve` determinism guard `cmp`s
-//! served responses against exactly this output).
+//! its [`iosim::SimReport`], the same bytes `mio submit --json` writes
+//! for the served point.
 //!
 //! `--campaign GROUPSxPROCS` runs a cluster-scale sharded campaign
 //! instead (e.g. `1000x10` = 1000 groups of 10 processes) on

@@ -20,6 +20,8 @@
 //! | [`dfg`] | parallel directly-follows-graph scan of stored frame files |
 //! | [`modern`] | the fig8 cache sweep rerun on 2026 tiered hardware |
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod campaign;
 pub mod claims;
@@ -38,7 +40,7 @@ pub mod trace_store;
 pub use campaign::{run_campaign, run_campaign_in, CampaignSpec};
 pub use modern::{modern_comparison, render_modern, DeviceEra, ModernComparison};
 pub use options::{RunOptions, Scope};
-pub use par_sweep::{par_sweep, progress_enabled, serial_sweep, thread_count};
+pub use par_sweep::{par_sweep, progress_enabled, thread_count};
 pub use runner::{app_events, app_trace, scaled_spec, Scale};
 pub use trace_store::{
     SpilledCursor, StoreConfig, StoreFootprint, TraceArtifact, TraceStore, SPILL_BLOCK_EVENTS,

@@ -20,9 +20,9 @@
 //!   compute gaps divided by [`MODERN_CPU_SPEEDUP`].
 //!
 //! The comparison also embeds a small sharded cluster run on the modern
-//! devices: the CI guard re-runs it at `--shards 1` and `--shards 4`
-//! and `cmp`s the JSON, extending the byte-identical contract to the
-//! queue-aware models.
+//! devices: the root package's `tests/invariance.rs` re-runs it at 1
+//! and 4 shards and compares the JSON bytes, extending the
+//! byte-identical contract to the queue-aware models.
 
 use crate::par_sweep::par_sweep;
 use crate::runner::Scale;
@@ -91,7 +91,7 @@ pub struct ModernComparison {
     /// and the tier traffic split.
     pub modern_obs: obs::ObsReport,
     /// A small sharded cluster run on the modern devices, byte-identical
-    /// at any shard count (the CI guard cmp's shards {1,4}).
+    /// at any shard count.
     pub cluster: ClusterReport,
 }
 

@@ -12,8 +12,8 @@
 //!    so no draw depends on which thread ran the point.
 //!
 //! Consequently `par_sweep(params, f)` is observably identical to
-//! `params.iter().map(f).collect()` — a property pinned by the
-//! determinism regression test in `tests/determinism.rs`.
+//! `params.iter().map(f).collect()` — a property pinned by the threads
+//! axis of the root package's `tests/invariance.rs`.
 //!
 //! The pool is plain `std::thread::scope` rather than rayon: this build
 //! environment has no registry access, and a work-stealing scheduler
@@ -195,16 +195,6 @@ where
         .collect()
 }
 
-/// Serial reference implementation of [`par_sweep`], kept public so the
-/// determinism regression test (and any debugging session) can compare
-/// the two executions of the *same* closure directly.
-pub fn serial_sweep<P, R, F>(params: &[P], run: F) -> Vec<R>
-where
-    F: Fn(&P) -> R,
-{
-    params.iter().map(run).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +218,7 @@ mod tests {
     fn matches_serial_reference() {
         let params: Vec<(u64, u64)> = (0..37).map(|i| (i, i * i)).collect();
         let f = |&(a, b): &(u64, u64)| a.wrapping_mul(31).wrapping_add(b);
-        assert_eq!(par_sweep(&params, f), serial_sweep(&params, f));
+        assert_eq!(par_sweep(&params, f), params.iter().map(f).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! of the key — not just a label — because the generator folds it into
 //! its jitter RNG seed (`seed ^ pid`), so venus#1 and venus#2 are
 //! genuinely different traces. Byte-identical sweep output versus
-//! fresh generation is the store's correctness bar, pinned by
-//! `tests/determinism.rs`.
+//! fresh generation is the store's correctness bar, pinned by the
+//! trace-feed axis of the root package's `tests/invariance.rs`.
 //!
 //! ## Memory model
 //!
@@ -682,10 +682,21 @@ impl TraceStore {
         Ok(path)
     }
 
-    /// Open a frame file left by a previous run, if it validates.
+    /// Open a frame file left by a previous run, if every block of it
+    /// decodes. Opening checks only the header, index and footer, so a
+    /// damaged payload would otherwise surface as a panic mid-replay; a
+    /// file that fails here is removed so the caller regenerates it.
     fn try_reopen(&self, key: &Key) -> Option<Arc<SpilledTrace>> {
         let path = self.spill_dir().join(format!("{}.mio2", key.file_stem()));
-        SpilledTrace::open(&path, Arc::clone(&self.counters)).ok().map(Arc::new)
+        let sp = SpilledTrace::open(&path, Arc::clone(&self.counters)).ok()?;
+        let (mut bytes, mut events) = (Vec::new(), Vec::new());
+        let intact = (0..sp.file.index().blocks.len())
+            .all(|i| sp.file.decode_block_into(i, &mut bytes, &mut events).is_ok());
+        if !intact {
+            let _ = std::fs::remove_file(&path);
+            return None;
+        }
+        Some(Arc::new(sp))
     }
 
     fn spill_dir(&self) -> PathBuf {
@@ -941,6 +952,20 @@ mod tests {
             spill_dir: Some(dir.clone()),
         });
         assert_eq!(third.artifact(AppKind::Venus, 1, 11, Scale(16)).trace(), original.trace());
+
+        // A flipped payload byte leaves header, index and footer valid;
+        // both a resident and a streaming store must regenerate rather
+        // than panic on the block checksum.
+        for mem_budget in [None, Some(0)] {
+            let mut bytes = std::fs::read(&frame).expect("frame file");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&frame, bytes).expect("tamper");
+            let store =
+                TraceStore::with_config(StoreConfig { mem_budget, spill_dir: Some(dir.clone()) });
+            assert_eq!(drain(store.feed(AppKind::Venus, 1, 11, Scale(16))), original.events()[..]);
+            assert_eq!(store.artifact(AppKind::Venus, 1, 11, Scale(16)).trace(), original.trace());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,6 +21,8 @@
 //! * [`amplification`] — measurement of what translation does to the
 //!   traffic: alignment waste, metadata overhead, per-disk spread.
 
+#![forbid(unsafe_code)]
+
 pub mod amplification;
 pub mod layout;
 pub mod translate;

@@ -49,6 +49,8 @@
 //! assert_eq!(decoded, trace);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod compression;
 pub mod error;

@@ -57,9 +57,6 @@
 //!
 //! * [`FrameFile::open`] — `pread`-style random access straight from the
 //!   file descriptor; resident memory is one block per cursor.
-//! * [`FrameFile::open_mmap`] — maps the file (raw `mmap` syscall on
-//!   Linux/x86-64; other targets fall back to reading the file into an
-//!   owned buffer) and decodes blocks out of the mapping.
 //! * [`FrameStream`] — forward-only replay over any [`Read`], for pipes
 //!   and sockets; never needs the footer.
 //!
@@ -497,123 +494,12 @@ where
     Ok(index)
 }
 
-// ---- memory map -------------------------------------------------------------
-
-/// A read-only byte buffer backing mmap-mode replay: a real memory map on
-/// Linux/x86-64, an owned in-memory copy elsewhere (or when mapping
-/// fails).
-#[derive(Debug)]
-pub enum FrameBuf {
-    /// A live `mmap(2)` of the file.
-    Mapped(Mmap),
-    /// The whole file read into memory (portable fallback).
-    Owned(Vec<u8>),
-}
-
-impl std::ops::Deref for FrameBuf {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            FrameBuf::Mapped(m) => m,
-            FrameBuf::Owned(v) => v,
-        }
-    }
-}
-
-/// A read-only private file mapping made with the raw `mmap` syscall —
-/// this build environment has no libc crate, so the two instructions are
-/// inlined here for the one target we run on.
-#[derive(Debug)]
-pub struct Mmap {
-    ptr: *const u8,
-    len: usize,
-}
-
-// The mapping is immutable shared memory; the raw pointer is only ever
-// dereferenced through &[u8].
-unsafe impl Send for Mmap {}
-unsafe impl Sync for Mmap {}
-
-impl std::ops::Deref for Mmap {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: ptr..ptr+len is a live PROT_READ mapping until Drop.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-impl Mmap {
-    /// Map `len` bytes of `file` read-only; `None` if the kernel refuses
-    /// (caller falls back to reading the file).
-    fn map(file: &File, len: usize) -> Option<Mmap> {
-        use std::os::unix::io::AsRawFd;
-        if len == 0 {
-            return None;
-        }
-        const PROT_READ: usize = 1;
-        const MAP_PRIVATE: usize = 2;
-        let ret: isize;
-        // SAFETY: plain mmap(NULL, len, PROT_READ, MAP_PRIVATE, fd, 0);
-        // all arguments are owned values, the kernel validates the fd.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9usize => ret, // __NR_mmap
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ,
-                in("r10") MAP_PRIVATE,
-                in("r8") file.as_raw_fd() as usize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-        if !(-4095..0).contains(&ret) && ret != 0 {
-            Some(Mmap { ptr: ret as *const u8, len })
-        } else {
-            None
-        }
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-impl Mmap {
-    fn map(_file: &File, _len: usize) -> Option<Mmap> {
-        None
-    }
-}
-
-impl Drop for Mmap {
-    fn drop(&mut self) {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        // SAFETY: munmap of the exact region map() returned; errors at
-        // unmap time are unreportable and harmless to ignore.
-        unsafe {
-            let _ret: isize;
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 11usize => _ret, // __NR_munmap
-                in("rdi") self.ptr as usize,
-                in("rsi") self.len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-    }
-}
-
 // ---- random-access reader ---------------------------------------------------
 
 #[derive(Debug)]
 enum Backing {
-    /// Whole file addressable as bytes (mmap or owned buffer).
-    Mem(FrameBuf),
+    /// Whole file held in memory ([`FrameFile::from_bytes`]).
+    Mem(Vec<u8>),
     /// Blocks fetched on demand with positioned reads; resident memory
     /// stays one block per cursor.
     File(File),
@@ -684,28 +570,9 @@ impl FrameFile {
         FrameFile::from_backing(Backing::File(File::open(path)?))
     }
 
-    /// Open in mmap mode: the whole file is mapped (or, if mapping is
-    /// unavailable, read into memory) and blocks decode straight out of
-    /// the buffer.
-    pub fn open_mmap(path: &Path) -> Result<FrameFile, TraceError> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len();
-        let len_usize = usize::try_from(len).map_err(|_| TraceError::Truncated)?;
-        let buf = match Mmap::map(&file, len_usize) {
-            Some(m) => FrameBuf::Mapped(m),
-            None => {
-                let mut v = Vec::with_capacity(len_usize);
-                let mut f = file;
-                f.read_to_end(&mut v)?;
-                FrameBuf::Owned(v)
-            }
-        };
-        FrameFile::from_backing(Backing::Mem(buf))
-    }
-
     /// Treat an in-memory buffer as a frame file (tests, benches).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<FrameFile, TraceError> {
-        FrameFile::from_backing(Backing::Mem(FrameBuf::Owned(bytes)))
+        FrameFile::from_backing(Backing::Mem(bytes))
     }
 
     fn from_backing(backing: Backing) -> Result<FrameFile, TraceError> {
@@ -1086,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_via_files_pread_and_mmap() {
+    fn pread_and_in_memory_backings_decode_identically() {
         let events = mixed_events(5_000);
         let dir = std::env::temp_dir().join(format!("miof-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -1095,9 +962,10 @@ mod tests {
         assert_eq!(index.total_events, 5_000);
         let pread = FrameFile::open(&path).expect("opens");
         assert_eq!(pread.decode_all().expect("decodes"), events);
-        let mapped = FrameFile::open_mmap(&path).expect("opens");
-        assert_eq!(mapped.decode_all().expect("decodes"), events);
-        assert_eq!(mapped.index(), &index);
+        assert_eq!(pread.index(), &index);
+        let in_memory = FrameFile::from_bytes(std::fs::read(&path).expect("reads")).expect("opens");
+        assert_eq!(in_memory.decode_all().expect("decodes"), events);
+        assert_eq!(in_memory.index(), &index);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -66,7 +66,7 @@ proptest! {
     ) {
         let bytes = encode_frames(&events, block_events);
 
-        // Indexed random-access replay (mmap-equivalent in-memory buffer).
+        // Indexed random-access replay from an in-memory buffer.
         let file = FrameFile::from_bytes(bytes.clone()).expect("valid frame");
         prop_assert_eq!(file.total_events(), events.len() as u64);
         prop_assert_eq!(file.decode_all().expect("decodes"), events.clone());

@@ -7,8 +7,8 @@
 //!   dispatches) that are *always* collected. Incrementing an owned
 //!   integer costs less than the branch that would gate it, and keeping
 //!   them unconditional means the `obs` section of a `SimReport` is
-//!   byte-identical whether or not profiling is on — the determinism
-//!   guard in `crates/experiments/tests/observability.rs` pins this.
+//!   byte-identical whether or not profiling is on — the spans axis of
+//!   the root package's `tests/invariance.rs` pins this.
 //! * **Span recorder** ([`recorder`]) — a lock-free, fixed-capacity
 //!   flight recorder for timeline events on two clock domains: the
 //!   simulated clock (per-process and per-disk tracks) and the monotonic

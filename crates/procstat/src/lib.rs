@@ -23,6 +23,8 @@
 //! I/O system call time." [`PipelineReport::overhead_fraction`] checks
 //! our model against that bound.
 
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 pub mod report;
 

@@ -40,7 +40,7 @@
 //! which worker generated them first. So the result [`Value`] for a key
 //! is byte-identical no matter the worker count, the queue order, or
 //! whether it was computed, coalesced, or cached — the property the
-//! proptest suite and the CI socket guard pin.
+//! proptest suite and the socket transport of `tests/invariance.rs` pin.
 
 use crate::canon::canonical_hash;
 use crate::protocol::RequestBody;

@@ -23,9 +23,9 @@
 //! The contract that makes the service trustworthy is determinism: a
 //! served response is byte-identical to the corresponding one-shot
 //! `repro-sim` run at any worker count, whether computed, coalesced, or
-//! cached. CI holds this with a live socket `cmp` against the one-shot
-//! binaries; the proptest suite holds it for shuffled concurrent
-//! request streams.
+//! cached. The root package's `tests/invariance.rs` holds this over a
+//! live socket against the in-process runs; the proptest suite holds it
+//! for shuffled concurrent request streams.
 //!
 //! [`TraceStore`]: experiments::TraceStore
 

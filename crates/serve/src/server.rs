@@ -82,6 +82,9 @@ mod sig {
     const SIGTERM: i32 = 15;
 
     pub fn install() {
+        // SAFETY: `signal(2)` with a valid signal number and an
+        // `extern "C"` handler that only stores to an atomic, which is
+        // async-signal-safe; the previous handler is not needed.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);

@@ -104,17 +104,6 @@ proptest! {
 }
 
 #[test]
-fn sharded_campaign_responses_are_byte_identical_across_shard_counts() {
-    let store = TraceStore::new();
-    let one = |shards| {
-        let mut c = CampaignPointSpec::datacenter(2, 4, shards);
-        c.scale = 64;
-        serde_json::to_string_pretty(&execute(&store, &RequestBody::Campaign(c))).expect("print")
-    };
-    assert_eq!(one(1), one(3), "shard count must never change the report bytes");
-}
-
-#[test]
 fn overload_answers_queue_full_instead_of_buffering() {
     // No workers: nothing drains, so the admission cap is the only
     // thing standing between a request flood and unbounded queues.

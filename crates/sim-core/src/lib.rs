@@ -18,6 +18,8 @@
 //! * [`units`] — Cray Y-MP era unit constants (8-byte words, megawords,
 //!   512-byte trace blocks, device rates).
 
+#![forbid(unsafe_code)]
+
 pub mod epoch;
 pub mod event;
 pub mod rng;

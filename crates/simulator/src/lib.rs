@@ -43,6 +43,8 @@
 //! assert!(report.utilization() > 0.5, "read-ahead hides most latency");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod metrics;

@@ -25,6 +25,9 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a relaxed counter bump,
+// which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);

@@ -29,6 +29,8 @@
 //! stores so configs pick the model at run time without dynamic
 //! dispatch.
 
+#![forbid(unsafe_code)]
+
 pub mod any;
 pub mod device;
 pub mod disk;

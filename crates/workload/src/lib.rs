@@ -18,6 +18,8 @@
 //! * [`apps`] — the seven calibrated presets plus the paper's target
 //!   numbers ([`PaperTargets`]) used by tests and EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod generator;
 pub mod spec;

@@ -19,7 +19,7 @@
 //! store, request dedup/coalescing, and fair queueing; `submit` is the
 //! matching client. A served response is byte-identical to the
 //! corresponding one-shot `repro-sim --json` output at any worker
-//! count — CI `cmp`s them.
+//! count — `tests/invariance.rs` checks them over a live socket.
 
 use experiments::options::{take_flag, take_parsed, take_switch};
 use experiments::{RunOptions, Scope};
@@ -389,7 +389,7 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
                 }
                 Some(value) => {
                     // Same bytes as `repro-sim --json`: pretty-printed,
-                    // no trailing newline, so CI can `cmp` the files.
+                    // no trailing newline, so the files `cmp` equal.
                     let text = serde_json::to_string_pretty(&value)
                         .map_err(|e| format!("serialize result: {e}"))?;
                     match json.as_deref() {
