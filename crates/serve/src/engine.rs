@@ -91,9 +91,9 @@ pub enum SubmitError {
     QueueFull,
     /// The engine is draining; no new work is accepted.
     ShuttingDown,
-    /// The request body is malformed (zero sizes/counts) or not
-    /// runnable ([`RequestBody::Stats`]/[`RequestBody::Shutdown`] are
-    /// handled by the server, not the pool).
+    /// The request body is malformed (zero or out-of-range sizes/counts)
+    /// or not runnable ([`RequestBody::Stats`]/[`RequestBody::Shutdown`]
+    /// are handled by the server, not the pool).
     Invalid(String),
 }
 
@@ -292,20 +292,10 @@ impl Sched {
     }
 }
 
-/// Monotonic counters exposed by the stats request.
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_shutdown: AtomicU64,
-}
-
-/// Prometheus-facing RED metrics ([`obs::metrics`]). Wall-clock based —
-/// kept strictly out of [`Engine::stats_value`] and every result
-/// payload, which stay deterministic.
+/// Prometheus-facing RED metrics ([`obs::metrics`]). The histograms are
+/// wall-clock based and stay strictly out of [`Engine::stats_value`] and
+/// every result payload, which stay deterministic; the counters are the
+/// one count of each event, read by both.
 struct ServeMetrics {
     registry: obs::metrics::Registry,
     /// Per request type (`fig8_point` / `campaign`): enqueue → pickup.
@@ -314,7 +304,8 @@ struct ServeMetrics {
     service_time: [Arc<obs::metrics::LatencyHistogram>; 2],
     cache_hits: Arc<obs::metrics::Counter>,
     coalesced: Arc<obs::metrics::Counter>,
-    rejected: Arc<obs::metrics::Counter>,
+    rejected_queue_full: Arc<obs::metrics::Counter>,
+    rejected_shutting_down: Arc<obs::metrics::Counter>,
     completed: Arc<obs::metrics::Counter>,
     hit_ratio: Arc<obs::metrics::Gauge>,
     coalesce_ratio: Arc<obs::metrics::Gauge>,
@@ -347,6 +338,13 @@ impl ServeMetrics {
                 &[("type", t)],
             )
         };
+        let rejected = |reason: &str| {
+            registry.counter(
+                "serve_rejected_total",
+                "Requests refused by admission control or shutdown",
+                &[("reason", reason)],
+            )
+        };
         ServeMetrics {
             queue_wait: [qw("fig8_point"), qw("campaign")],
             service_time: [st("fig8_point"), st("campaign")],
@@ -360,11 +358,8 @@ impl ServeMetrics {
                 "Requests coalesced onto an identical in-flight execution",
                 &[],
             ),
-            rejected: registry.counter(
-                "serve_rejected_total",
-                "Requests refused by admission control or shutdown",
-                &[],
-            ),
+            rejected_queue_full: rejected("queue_full"),
+            rejected_shutting_down: rejected("shutting_down"),
             completed: registry.counter(
                 "serve_completed_total",
                 "Executions finished by the worker pool",
@@ -417,7 +412,9 @@ struct Inner {
     drained: Condvar,
     store: TraceStore,
     cfg: EngineConfig,
-    counters: Counters,
+    /// Runnable requests that passed validation: the one count that has
+    /// no Prometheus counter.
+    submitted: AtomicU64,
     metrics: ServeMetrics,
     shutting_down: AtomicBool,
 }
@@ -447,7 +444,7 @@ impl Engine {
             drained: Condvar::new(),
             store,
             cfg: cfg.clone(),
-            counters: Counters::default(),
+            submitted: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
             shutting_down: AtomicBool::new(false),
         });
@@ -472,11 +469,10 @@ impl Engine {
             m.client_errors(client).inc();
             return Err(e);
         }
-        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         m.client_requests(client).inc();
         if self.inner.shutting_down.load(Ordering::SeqCst) {
-            self.inner.counters.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            m.rejected.inc();
+            m.rejected_shutting_down.inc();
             m.client_errors(client).inc();
             return Err(SubmitError::ShuttingDown);
         }
@@ -485,20 +481,17 @@ impl Engine {
         // Result cache first: a hit is answered instantly, no queueing.
         if let Some(v) = s.results.get(&key).cloned() {
             s.lru.touch(key);
-            self.inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             m.cache_hits.inc();
             return Ok(Ticket { flight: Flight::completed(v), cached: true, coalesced: false });
         }
         // Single-flight: coalesce onto an identical in-flight job.
         if let Some(flight) = s.flights.get(&key).cloned() {
-            self.inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
             m.coalesced.inc();
             return Ok(Ticket { flight, cached: true, coalesced: true });
         }
         // A genuinely new job: admission control applies.
         if s.inflight >= self.inner.cfg.max_inflight {
-            self.inner.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-            m.rejected.inc();
+            m.rejected_queue_full.inc();
             m.client_errors(client).inc();
             return Err(SubmitError::QueueFull);
         }
@@ -548,7 +541,7 @@ impl Engine {
     /// Engine + trace-store statistics as a deterministic-order JSON
     /// value — the payload of the `Stats` request.
     pub fn stats_value(&self) -> Value {
-        let c = &self.inner.counters;
+        let m = &self.inner.metrics;
         let (inflight, queued, cache_entries) = {
             let s = self.inner.sched.lock().expect("sched lock");
             (s.inflight, s.queued(), s.results.len())
@@ -557,12 +550,12 @@ impl Engine {
         let rec = obs::summary();
         let entry = |k: &str, v: u64| (k.to_string(), Value::U64(v));
         Value::Map(vec![
-            entry("submitted", c.submitted.load(Ordering::Relaxed)),
-            entry("completed", c.completed.load(Ordering::Relaxed)),
-            entry("cache_hits", c.cache_hits.load(Ordering::Relaxed)),
-            entry("coalesced", c.coalesced.load(Ordering::Relaxed)),
-            entry("rejected_queue_full", c.rejected_full.load(Ordering::Relaxed)),
-            entry("rejected_shutting_down", c.rejected_shutdown.load(Ordering::Relaxed)),
+            entry("submitted", self.inner.submitted.load(Ordering::Relaxed)),
+            entry("completed", m.completed.get()),
+            entry("cache_hits", m.cache_hits.get()),
+            entry("coalesced", m.coalesced.get()),
+            entry("rejected_queue_full", m.rejected_queue_full.get()),
+            entry("rejected_shutting_down", m.rejected_shutting_down.get()),
             entry("inflight", inflight as u64),
             entry("queued", queued as u64),
             entry("workers", self.workers.len() as u64),
@@ -578,7 +571,7 @@ impl Engine {
 
     /// Completed-job count (for tests and the bench's final report).
     pub fn completed(&self) -> u64 {
-        self.inner.counters.completed.load(Ordering::Relaxed)
+        self.inner.metrics.completed.get()
     }
 
     /// The Prometheus text exposition of the engine's RED metrics — the
@@ -587,11 +580,10 @@ impl Engine {
     /// not deterministic and never feeds a result payload.
     pub fn prometheus_text(&self) -> String {
         let m = &self.inner.metrics;
-        let c = &self.inner.counters;
-        let submitted = c.submitted.load(Ordering::Relaxed);
+        let submitted = self.inner.submitted.load(Ordering::Relaxed);
         let ratio = |n: u64| if submitted == 0 { 0.0 } else { n as f64 / submitted as f64 };
-        m.hit_ratio.set(ratio(c.cache_hits.load(Ordering::Relaxed)));
-        m.coalesce_ratio.set(ratio(c.coalesced.load(Ordering::Relaxed)));
+        m.hit_ratio.set(ratio(m.cache_hits.get()));
+        m.coalesce_ratio.set(ratio(m.coalesced.get()));
         {
             let s = self.inner.sched.lock().expect("sched lock");
             m.inflight.set(s.inflight as f64);
@@ -667,7 +659,6 @@ fn worker_loop(inner: &Inner) {
             s.cache_insert(job.key, Arc::clone(&value), inner.cfg.result_cache);
             s.inflight -= 1;
         }
-        inner.counters.completed.fetch_add(1, Ordering::Relaxed);
         inner.metrics.completed.inc();
         inner.drained.notify_all();
         *job.flight.timing.lock().expect("flight lock") =
@@ -686,6 +677,16 @@ fn cost_of(body: &RequestBody) -> u64 {
     }
 }
 
+/// Largest campaign accepted, in processes (`groups × procs`); the
+/// README's 100×100 campaign fits.
+const MAX_CAMPAIGN_PROCS: usize = 16_384;
+/// Most shards a campaign may ask for. A sharded run starts
+/// `min(shards, groups)` threads, so this bounds what one request starts.
+const MAX_CAMPAIGN_SHARDS: usize = 256;
+
+/// Refuse bodies the simulators are known to panic on (a cache smaller
+/// than one block, byte or process counts that overflow) and bodies that
+/// would start unbounded work.
 fn validate(body: &RequestBody) -> Result<(), SubmitError> {
     let bad = |msg: &str| Err(SubmitError::Invalid(msg.into()));
     match body {
@@ -696,7 +697,11 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
             if s.scale == 0 {
                 return bad("scale must be >= 1");
             }
-            Ok(())
+            match s.cache_mb.checked_mul(MB) {
+                None => bad("cache_mb overflows a byte count"),
+                Some(bytes) if s.block > bytes => bad("the cache must hold at least one block"),
+                Some(_) => Ok(()),
+            }
         }
         RequestBody::Campaign(c) => {
             if c.groups == 0 || c.procs == 0 {
@@ -704,6 +709,12 @@ fn validate(body: &RequestBody) -> Result<(), SubmitError> {
             }
             if c.scale == 0 {
                 return bad("scale must be >= 1");
+            }
+            if c.groups.checked_mul(c.procs).is_none_or(|n| n > MAX_CAMPAIGN_PROCS) {
+                return bad(&format!("a campaign is limited to {MAX_CAMPAIGN_PROCS} processes"));
+            }
+            if c.shards > MAX_CAMPAIGN_SHARDS {
+                return bad(&format!("a campaign is limited to {MAX_CAMPAIGN_SHARDS} shards"));
             }
             Ok(())
         }
@@ -839,11 +850,41 @@ mod tests {
     }
 
     #[test]
+    fn bodies_the_simulators_would_panic_on_are_invalid_and_workers_survive() {
+        let engine = quick_engine(1, 16);
+        let fig8 = |cache_mb, block| {
+            RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block, scale: 64, seed: 42 })
+        };
+        let campaign = |groups, procs, shards| {
+            RequestBody::Campaign(CampaignPointSpec::datacenter(groups, procs, shards))
+        };
+        let invalid = [
+            fig8(1, 2 * MB),               // a 2 MB block in a 1 MB cache
+            fig8(u64::MAX / MB + 1, 4096), // cache_mb × MB overflows
+            campaign(usize::MAX, 2, 1),    // groups × procs overflows
+            campaign(MAX_CAMPAIGN_PROCS / 4 + 1, 4, 1),
+            campaign(4, 4, MAX_CAMPAIGN_SHARDS + 1),
+        ];
+        for body in &invalid {
+            assert!(matches!(engine.submit("a", body), Err(SubmitError::Invalid(_))), "{body:?}");
+        }
+        // The largest accepted shapes stay valid (queued, never run here).
+        let stalled = quick_engine(0, 16);
+        for body in [fig8(1, MB), campaign(100, 100, MAX_CAMPAIGN_SHARDS)] {
+            assert!(stalled.submit("a", &body).is_ok(), "{body:?}");
+        }
+        // The one worker is still alive and answers a good point.
+        let ticket = engine.submit("a", &point(8)).expect("admitted");
+        assert!(ticket.wait_timeout(Duration::from_secs(120)).expect("resolves").is_ok());
+    }
+
+    #[test]
     fn prometheus_exposition_round_trips_for_a_known_sequence() {
         use obs::metrics::parse_exposition;
         let engine = quick_engine(2, 16);
         // Known sequence: two distinct fig8 points computed, one repeat
-        // (cache hit), one refused as invalid.
+        // (cache hit), one refused as invalid, one refused while
+        // shutting down.
         engine.submit("alice", &point(8)).expect("admitted").wait().expect("runs");
         engine.submit("bob", &point(16)).expect("admitted").wait().expect("runs");
         let hit = engine.submit("alice", &point(8)).expect("cache hit");
@@ -851,6 +892,9 @@ mod tests {
         assert!(hit.timing().is_none(), "a cache hit ran nothing");
         let zero = RequestBody::Fig8Point(Fig8PointSpec { cache_mb: 0, block: 4096, scale: 8, seed: 1 });
         assert!(engine.submit("bob", &zero).is_err());
+        engine.begin_shutdown();
+        let refused = engine.submit("carol", &point(32)).expect_err("refused");
+        assert_eq!(refused, SubmitError::ShuttingDown);
 
         let text = engine.prometheus_text();
         let samples = parse_exposition(&text).expect("valid Prometheus text");
@@ -869,10 +913,18 @@ mod tests {
         assert_eq!(get("serve_requests_total", Some(("client", "alice"))), 2.0);
         assert_eq!(get("serve_requests_total", Some(("client", "bob"))), 1.0);
         assert_eq!(get("serve_errors_total", Some(("client", "bob"))), 1.0);
+        assert_eq!(get("serve_errors_total", Some(("client", "carol"))), 1.0);
         assert_eq!(get("serve_result_cache_hits_total", None), 1.0);
         assert_eq!(get("serve_completed_total", None), 2.0);
+        assert_eq!(get("serve_rejected_total", Some(("reason", "shutting_down"))), 1.0);
+        assert_eq!(get("serve_rejected_total", Some(("reason", "queue_full"))), 0.0);
         assert_eq!(get("serve_inflight_jobs", None), 0.0);
-        assert!((get("serve_result_cache_hit_ratio", None) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((get("serve_result_cache_hit_ratio", None) - 1.0 / 4.0).abs() < 1e-9);
+        // The stats payload reads the same counters.
+        let stats = engine.stats_value();
+        for (key, want) in [("completed", 2), ("cache_hits", 1), ("rejected_shutting_down", 1)] {
+            assert_eq!(stats.get(key), Some(&Value::U64(want)), "{key}");
+        }
 
         // Histograms: two executions recorded per type bucket family,
         // cumulative buckets end at +Inf == _count, and the quantile
@@ -906,6 +958,24 @@ mod tests {
         assert!(engine
             .expected_service_us(&RequestBody::Campaign(CampaignPointSpec::datacenter(4, 4, 1)))
             .is_none());
+
+        // Admission control: with no workers and room for one job, a
+        // second distinct point bounces.
+        let full = quick_engine(0, 1);
+        full.submit("alice", &point(8)).expect("admitted");
+        assert_eq!(full.submit("alice", &point(16)).expect_err("full"), SubmitError::QueueFull);
+        let samples = parse_exposition(&full.prometheus_text()).expect("valid Prometheus text");
+        let rejected = |reason: &str| {
+            samples
+                .iter()
+                .find(|s| {
+                    s.name == "serve_rejected_total"
+                        && s.labels.iter().any(|(k, v)| k == "reason" && v == reason)
+                })
+                .map(|s| s.value)
+        };
+        assert_eq!((rejected("queue_full"), rejected("shutting_down")), (Some(1.0), Some(0.0)));
+        assert_eq!(full.stats_value().get("rejected_queue_full"), Some(&Value::U64(1)));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! * [`protocol`] — the JSON-lines request/response wire types.
 //! * [`engine`] — the in-process worker pool: fair queueing, admission
 //!   control, the warm store, the result cache.
-//! * [`server`] — the socket front end (`mio serve` / `mio submit`)
-//!   with heartbeats and graceful drain.
+//! * [`server`] — the socket front end (`mio serve` / `mio submit`):
+//!   one blocking thread per connection answering its requests in
+//!   order, with heartbeats, a request-size cap and graceful drain.
 //!
 //! The contract that makes the service trustworthy is determinism: a
 //! served response is byte-identical to the corresponding one-shot

@@ -5,8 +5,10 @@
 //! `accepted` acknowledgement, zero or more `progress` heartbeats while
 //! the request sits in the queue or runs, and exactly one terminal line:
 //! `done` (carrying the full `SimReport`/`ClusterReport` JSON in
-//! `result`) or `error`. Responses for concurrent requests interleave;
-//! the `id` is the correlation key, so clients may pipeline freely.
+//! `result`) or `error`. A connection answers its requests one at a
+//! time, in the order they were written, so a client may pipeline lines
+//! but gets no concurrency from it; concurrent requests need their own
+//! connections. A request line may be at most 64 KiB long.
 //!
 //! Determinism contract: the `result` payload of a `done` line is
 //! byte-identical (once pretty-printed) to the JSON the one-shot

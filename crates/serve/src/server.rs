@@ -1,24 +1,37 @@
 //! The `mio serve` daemon: JSON lines over a Unix or TCP socket, backed
 //! by the [`Engine`], plus the matching `mio submit` client helper.
 //!
-//! Each connection may pipeline requests; every request is answered by
-//! an `accepted` line, `progress` heartbeats while it waits or runs,
-//! and one terminal `done`/`error` line (correlated by `id`).
+//! Each connection gets one thread on a blocking socket. It reads one
+//! request line and answers it in full — an `accepted` line, `progress`
+//! heartbeats while it waits or runs, and one terminal `done`/`error`
+//! line — before it reads the next, so lines pipelined on one
+//! connection are answered in order. Concurrency comes from opening
+//! more connections. A request line longer than `MAX_REQUEST_BYTES`
+//! (64 KiB) gets one `error` line, and then the connection closes.
 //!
-//! Shutdown is graceful: SIGINT, SIGTERM, or a [`RequestBody::Shutdown`]
-//! request stops the accept loop, refuses new submissions with a clean
-//! JSON error, drains in-flight work bounded by `--drain-timeout`, and
-//! only then exits (the `mio` binary flushes the flight recorder after
-//! [`serve`] returns).
+//! The listener is nonblocking: the accept loop takes every pending
+//! connection, then sleeps `POLL_INTERVAL` (50 ms) and checks the
+//! shutdown latch, so a new connection waits up to that long to be
+//! accepted.
+//!
+//! Shutdown is graceful: SIGINT, SIGTERM, a [`RequestBody::Shutdown`]
+//! request or [`request_shutdown`] sets the latch and stops the accept
+//! loop. The daemon then refuses new submissions with a clean JSON
+//! error, drains in-flight work bounded by `--drain-timeout`, ends idle
+//! connections by closing their read side, and only then returns (the
+//! `mio` binary flushes the flight recorder after [`serve`] returns).
 
 use crate::engine::{Engine, EngineConfig, Ticket};
 use crate::protocol::{Request, RequestBody, Response};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Where the daemon listens (and the client connects).
@@ -51,8 +64,12 @@ pub struct ServeOptions {
 
 /// Heartbeat cadence for queued/running requests.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(500);
-/// Poll granularity of the accept loop and idle connection reads.
+/// Poll granularity of the accept loop, which also watches the shutdown
+/// latch.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Longest request line accepted, newline included. The largest real
+/// request is under 200 bytes.
+const MAX_REQUEST_BYTES: u64 = 64 * 1024;
 
 /// Process-wide shutdown latch, set by SIGINT/SIGTERM or a `Shutdown`
 /// request.
@@ -97,91 +114,105 @@ mod sig {
     pub fn install() {}
 }
 
+/// A connected socket of either transport.
+trait Socket: Read + Write + Send {
+    fn try_clone_socket(&self) -> std::io::Result<Box<dyn Socket>>;
+    fn shutdown_socket(&self, how: Shutdown) -> std::io::Result<()>;
+}
+
+impl Socket for TcpStream {
+    fn try_clone_socket(&self) -> std::io::Result<Box<dyn Socket>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn shutdown_socket(&self, how: Shutdown) -> std::io::Result<()> {
+        self.shutdown(how)
+    }
+}
+
+#[cfg(unix)]
+impl Socket for UnixStream {
+    fn try_clone_socket(&self) -> std::io::Result<Box<dyn Socket>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn shutdown_socket(&self, how: Shutdown) -> std::io::Result<()> {
+        self.shutdown(how)
+    }
+}
+
+fn connect(endpoint: &Endpoint) -> Result<Box<dyn Socket>, String> {
+    match endpoint {
+        #[cfg(unix)]
+        Endpoint::Unix(path) => match UnixStream::connect(path) {
+            Ok(s) => Ok(Box::new(s)),
+            Err(e) => Err(format!("connect {}: {e}", path.display())),
+        },
+        #[cfg(not(unix))]
+        Endpoint::Unix(path) => Err(format!("unix sockets unsupported here: {}", path.display())),
+        Endpoint::Tcp(addr) => match TcpStream::connect(addr.as_str()) {
+            Ok(s) => Ok(Box::new(s)),
+            Err(e) => Err(format!("connect {addr}: {e}")),
+        },
+    }
+}
+
 enum Listener {
     #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener),
+    Unix(UnixListener),
     Tcp(TcpListener),
 }
 
-/// A split accepted connection: an owned reader plus a shareable writer.
-struct Conn {
-    reader: Box<dyn Read + Send>,
-    writer: Box<dyn Write + Send>,
-}
-
 impl Listener {
-    fn bind(endpoint: &Endpoint) -> Result<Listener, String> {
+    /// Bind `endpoint` with a nonblocking listener.
+    fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
         match endpoint {
+            #[cfg(unix)]
             Endpoint::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    // A stale socket file from a killed daemon blocks
-                    // bind; remove it (connect() would have failed for
-                    // a live one anyway — single-daemon-per-path).
-                    let _ = std::fs::remove_file(path);
-                    let l = std::os::unix::net::UnixListener::bind(path)
-                        .map_err(|e| format!("bind {}: {e}", path.display()))?;
-                    l.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
-                    Ok(Listener::Unix(l))
-                }
-                #[cfg(not(unix))]
-                {
-                    Err(format!("unix sockets unsupported here: {}", path.display()))
-                }
+                // A stale socket file from a killed daemon blocks bind;
+                // remove it (connect() would have failed for a live one
+                // anyway — single-daemon-per-path).
+                let _ = std::fs::remove_file(path);
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                Ok(Listener::Unix(l))
             }
+            #[cfg(not(unix))]
+            Endpoint::Unix(_) => Err(std::io::ErrorKind::Unsupported.into()),
             Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
-                l.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
+                let l = TcpListener::bind(addr.as_str())?;
+                l.set_nonblocking(true)?;
                 Ok(Listener::Tcp(l))
             }
         }
     }
 
-    /// Nonblocking accept; `None` when no connection is pending.
-    fn try_accept(&self) -> Result<Option<Conn>, String> {
-        fn pending(e: &std::io::Error) -> bool {
-            e.kind() == std::io::ErrorKind::WouldBlock
-        }
-        match self {
+    /// A pending connection, set blocking (some platforms pass on the
+    /// listener's mode); `WouldBlock` when none is pending.
+    fn accept(&self) -> std::io::Result<Box<dyn Socket>> {
+        Ok(match self {
             #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false).map_err(|e| e.to_string())?;
-                    s.set_read_timeout(Some(POLL_INTERVAL)).map_err(|e| e.to_string())?;
-                    let w = s.try_clone().map_err(|e| e.to_string())?;
-                    Ok(Some(Conn { reader: Box::new(s), writer: Box::new(w) }))
-                }
-                Err(e) if pending(&e) => Ok(None),
-                Err(e) => Err(format!("accept: {e}")),
-            },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false).map_err(|e| e.to_string())?;
-                    s.set_read_timeout(Some(POLL_INTERVAL)).map_err(|e| e.to_string())?;
-                    let w = s.try_clone().map_err(|e| e.to_string())?;
-                    Ok(Some(Conn { reader: Box::new(s), writer: Box::new(w) }))
-                }
-                Err(e) if pending(&e) => Ok(None),
-                Err(e) => Err(format!("accept: {e}")),
-            },
-        }
+            Listener::Unix(l) => {
+                let s = l.accept()?.0;
+                s.set_nonblocking(false)?;
+                Box::new(s)
+            }
+            Listener::Tcp(l) => {
+                let s = l.accept()?.0;
+                s.set_nonblocking(false)?;
+                Box::new(s)
+            }
+        })
     }
 }
 
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Serialize one response as a single JSON line under the writer lock,
-/// so concurrent request threads never interleave bytes.
-fn write_response(w: &SharedWriter, resp: &Response) {
+/// Serialize one response as a single JSON line.
+fn write_response(w: &mut dyn Write, resp: &Response) {
     let mut line = serde_json::to_string(resp).unwrap_or_else(|e| {
         serde_json::to_string(&Response::error(resp.id, format!("serialize: {e}")))
             .expect("error response serializes")
     });
     line.push('\n');
-    let mut g = w.lock().expect("writer lock");
     // A vanished client is not a server error; drop the line.
-    let _ = g.write_all(line.as_bytes());
-    let _ = g.flush();
+    let _ = w.write_all(line.as_bytes());
 }
 
 /// Run the daemon until a shutdown signal/request arrives, then drain
@@ -190,29 +221,15 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
     sig::install();
     SHUTDOWN.store(false, Ordering::SeqCst);
     let engine = Arc::new(Engine::new(opts.engine.clone()));
-    let listener = Listener::bind(&opts.endpoint)?;
+    let listener =
+        Listener::bind(&opts.endpoint).map_err(|e| format!("bind {}: {e}", opts.endpoint))?;
     eprintln!(
         "mio serve: listening on {} ({} workers, max inflight {})",
         opts.endpoint, opts.engine.workers, opts.engine.max_inflight
     );
 
-    let conn_seq = AtomicU64::new(0);
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutting_down() {
-        match listener.try_accept()? {
-            Some(conn) => {
-                let engine = Arc::clone(&engine);
-                let name = format!("conn{}", conn_seq.fetch_add(1, Ordering::Relaxed));
-                conns.push(
-                    std::thread::Builder::new()
-                        .name(format!("serve-{name}"))
-                        .spawn(move || handle_connection(conn, &engine, &name))
-                        .map_err(|e| format!("spawn connection thread: {e}"))?,
-                );
-            }
-            None => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+    let mut conns = Vec::new();
+    let accepted = accept_loop(listener, &engine, &mut conns);
 
     // Graceful drain: refuse new work, let queued/running jobs finish
     // (bounded), then resolve anything left so no client waits forever.
@@ -225,128 +242,130 @@ pub fn serve(opts: &ServeOptions) -> Result<(), String> {
         );
         engine.abort_pending();
     }
-    for h in conns {
-        let _ = h.join();
+    // Every ticket is resolved now: each connection writes its last
+    // answer, then reads EOF.
+    for (socket, thread) in conns {
+        // A client that already left makes this fail, which changes
+        // nothing.
+        let _ = socket.shutdown_socket(Shutdown::Read);
+        let _ = thread.join();
     }
     if let Endpoint::Unix(path) = &opts.endpoint {
         let _ = std::fs::remove_file(path);
     }
     eprintln!("mio serve: done ({} requests completed)", engine.completed());
+    accepted
+}
+
+/// Give each accepted connection its own thread until the shutdown latch
+/// is set, then close the listener. `conns` keeps a handle on every live
+/// connection so shutdown can end idle ones.
+fn accept_loop(
+    listener: Listener,
+    engine: &Arc<Engine>,
+    conns: &mut Vec<(Box<dyn Socket>, JoinHandle<()>)>,
+) -> Result<(), String> {
+    let mut seq = 0u64;
+    while !shutting_down() {
+        let socket = match listener.accept() {
+            Ok(socket) => socket,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(POLL_INTERVAL);
+                continue;
+            }
+            Err(e) => return Err(format!("accept: {e}")),
+        };
+        conns.retain(|(_, thread)| !thread.is_finished());
+        let handle = socket.try_clone_socket().map_err(|e| format!("clone connection: {e}"))?;
+        let engine = Arc::clone(engine);
+        let name = format!("conn{seq}");
+        let thread = std::thread::Builder::new()
+            .name(format!("serve-{name}"))
+            .spawn(move || handle_connection(socket, &engine, &name))
+            .map_err(|e| format!("spawn connection thread: {e}"))?;
+        conns.push((handle, thread));
+        seq += 1;
+    }
     Ok(())
 }
 
-/// Read request lines until EOF or shutdown; each runnable request gets
-/// its own waiter thread so responses pipeline.
-fn handle_connection(conn: Conn, engine: &Arc<Engine>, default_client: &str) {
-    let writer: SharedWriter = Arc::new(Mutex::new(conn.writer));
-    let mut reader = BufReader::new(conn.reader);
-    let mut waiters: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut line = String::new();
+/// Answer request lines one at a time, in order, until EOF, a read error
+/// or an oversized line.
+fn handle_connection(socket: Box<dyn Socket>, engine: &Engine, default_client: &str) {
+    let mut reader = BufReader::new(socket);
+    let mut line = Vec::new();
     loop {
-        // The read timeout doubles as the shutdown poll: a partial line
-        // survives in `line` across timeouts and completes on the next
-        // successful read.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let text = std::mem::take(&mut line);
-                let text = text.trim();
-                if text.is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<Request>(text) {
-                    Ok(req) => handle_request(req, engine, &writer, default_client, &mut waiters),
-                    Err(e) => write_response(&writer, &Response::error(0, format!("parse: {e}"))),
-                }
+        line.clear();
+        match reader.by_ref().take(MAX_REQUEST_BYTES + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(n) if n as u64 > MAX_REQUEST_BYTES => {
+                let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                write_response(reader.get_mut(), &Response::error(0, msg));
+                // Send FIN before the close: the client reads the error,
+                // then EOF, although its unread bytes make the close a
+                // reset.
+                let _ = reader.get_ref().shutdown_socket(Shutdown::Write);
+                return;
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutting_down() {
-                    break;
-                }
-            }
-            Err(_) => break,
+            Ok(_) => {}
         }
-    }
-    for h in waiters {
-        let _ = h.join();
+        let text = String::from_utf8_lossy(&line);
+        let text = text.trim();
+        if text.is_empty() {
+            continue;
+        }
+        let writer = reader.get_mut();
+        match serde_json::from_str::<Request>(text) {
+            Ok(req) => handle_request(req, engine, writer, default_client),
+            Err(e) => write_response(writer, &Response::error(0, format!("parse: {e}"))),
+        }
     }
 }
 
-fn handle_request(
-    req: Request,
-    engine: &Arc<Engine>,
-    writer: &SharedWriter,
-    default_client: &str,
-    waiters: &mut Vec<std::thread::JoinHandle<()>>,
-) {
+/// Answer one request in full: control requests inline; a runnable one
+/// with `accepted`, progress heartbeats until its ticket resolves, the
+/// terminal line and one structured key=value completion log line.
+fn handle_request(req: Request, engine: &Engine, writer: &mut dyn Write, default_client: &str) {
     let id = req.id;
-    match &req.body {
+    let client = match req.client.as_deref() {
+        Some(name) if !name.is_empty() => name,
+        _ => default_client,
+    };
+    let ticket = match &req.body {
         RequestBody::Stats => {
-            write_response(writer, &Response::done(id, engine.stats_value(), false));
+            return write_response(writer, &Response::done(id, engine.stats_value(), false));
         }
         RequestBody::Metrics => {
-            write_response(writer, &Response::done(id, Value::Str(engine.prometheus_text()), false));
+            let text = Value::Str(engine.prometheus_text());
+            return write_response(writer, &Response::done(id, text, false));
         }
         RequestBody::Shutdown => {
             write_response(writer, &Response::done(id, Value::Null, false));
-            request_shutdown();
+            return request_shutdown();
         }
-        _ => {
-            let client = match req.client.as_deref() {
-                Some(name) if !name.is_empty() => name.to_string(),
-                _ => default_client.to_string(),
-            };
-            match engine.submit(&client, &req.body) {
-                Ok(ticket) => {
-                    write_response(writer, &Response::accepted(id));
-                    let expected_us = engine.expected_service_us(&req.body);
-                    let writer = Arc::clone(writer);
-                    waiters.push(
-                        std::thread::Builder::new()
-                            .name(format!("serve-wait{id}"))
-                            .spawn(move || {
-                                stream_result(id, &client, &ticket, expected_us, &writer)
-                            })
-                            .expect("spawn waiter thread"),
-                    );
-                }
-                Err(e) => {
-                    eprintln!(
-                        "serve: request id={id} client={client} disposition=rejected \
-                         error=\"{e}\""
-                    );
-                    write_response(writer, &Response::error(id, e.to_string()));
-                }
+        body => match engine.submit(client, body) {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                eprintln!(
+                    "serve: request id={id} client={client} disposition=rejected error=\"{e}\""
+                );
+                return write_response(writer, &Response::error(id, e.to_string()));
             }
-        }
-    }
-}
-
-/// Emit progress heartbeats until the ticket resolves, then the
-/// terminal line plus one structured key=value completion log line.
-fn stream_result(
-    id: u64,
-    client: &str,
-    ticket: &Ticket,
-    expected_us: Option<u64>,
-    writer: &SharedWriter,
-) {
+        },
+    };
+    write_response(writer, &Response::accepted(id));
+    let expected_us = engine.expected_service_us(&req.body);
     let accepted = std::time::Instant::now();
     let ev0 = obs::sim_events_total();
     loop {
         match ticket.wait_timeout(PROGRESS_INTERVAL) {
             Some(Ok(value)) => {
                 write_response(writer, &Response::done(id, value.as_ref().clone(), ticket.cached));
-                log_completion(id, client, ticket, accepted.elapsed(), "done");
-                return;
+                return log_completion(id, client, &ticket, accepted.elapsed(), "done");
             }
             Some(Err(e)) => {
                 write_response(writer, &Response::error(id, e));
-                log_completion(id, client, ticket, accepted.elapsed(), "error");
-                return;
+                return log_completion(id, client, &ticket, accepted.elapsed(), "error");
             }
             None => {
                 let elapsed = accepted.elapsed();
@@ -393,32 +412,12 @@ fn log_completion(id: u64, client: &str, ticket: &Ticket, total: Duration, outco
 /// through `progress` heartbeats (echoed to stderr when `--progress` is
 /// on) and ignores responses for other ids.
 pub fn submit_once(endpoint: &Endpoint, req: &Request) -> Result<Response, String> {
-    let (reader, mut writer): (Box<dyn Read>, Box<dyn Write>) = match endpoint {
-        Endpoint::Unix(path) => {
-            #[cfg(unix)]
-            {
-                let s = std::os::unix::net::UnixStream::connect(path)
-                    .map_err(|e| format!("connect {}: {e}", path.display()))?;
-                let w = s.try_clone().map_err(|e| e.to_string())?;
-                (Box::new(s), Box::new(w))
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(format!("unix sockets unsupported here: {}", path.display()));
-            }
-        }
-        Endpoint::Tcp(addr) => {
-            let s = TcpStream::connect(addr.as_str()).map_err(|e| format!("connect {addr}: {e}"))?;
-            let w = s.try_clone().map_err(|e| e.to_string())?;
-            (Box::new(s), Box::new(w))
-        }
-    };
+    let mut socket = connect(endpoint)?;
     let mut line = serde_json::to_string(req).map_err(|e| format!("serialize request: {e}"))?;
     line.push('\n');
-    writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
-    writer.flush().map_err(|e| format!("send: {e}"))?;
+    socket.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
 
-    let mut reader = BufReader::new(reader);
+    let mut reader = BufReader::new(socket);
     let mut buf = String::new();
     loop {
         buf.clear();
@@ -463,6 +462,14 @@ mod tests {
     use super::*;
     use crate::protocol::Fig8PointSpec;
     use experiments::StoreConfig;
+    use std::sync::{mpsc, Mutex, MutexGuard};
+
+    /// `SHUTDOWN` is process-global, so the daemons these tests start
+    /// run one at a time.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn loopback_options() -> ServeOptions {
         ServeOptions {
@@ -483,55 +490,157 @@ mod tests {
         TcpListener::bind("127.0.0.1:0").expect("bind").local_addr().expect("addr").port()
     }
 
-    #[test]
-    fn serve_answers_and_shuts_down_over_tcp() {
+    /// A daemon on a free loopback port, returned once it accepts
+    /// connections.
+    fn start() -> (String, JoinHandle<Result<(), String>>) {
         let mut opts = loopback_options();
         let addr = format!("127.0.0.1:{}", free_port());
         opts.endpoint = Endpoint::Tcp(addr.clone());
-        let server_opts = opts.clone();
-        let server = std::thread::spawn(move || serve(&server_opts));
-
-        // Wait for the listener to come up.
-        let endpoint = Endpoint::Tcp(addr);
-        let body = RequestBody::Fig8Point(Fig8PointSpec {
-            cache_mb: 8,
-            block: 4096,
-            scale: 64,
-            seed: 42,
-        });
-        let mut resp = None;
+        let server = std::thread::spawn(move || serve(&opts));
         for _ in 0..200 {
-            match submit_once(&endpoint, &Request { id: 1, client: None, body: body.clone() }) {
-                Ok(r) => {
-                    resp = Some(r);
-                    break;
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            if TcpStream::connect(addr.as_str()).is_ok() {
+                break;
             }
+            std::thread::sleep(Duration::from_millis(25));
         }
-        let resp = resp.expect("server answered");
+        (addr, server)
+    }
+
+    /// Run `f` on its own thread and panic if it takes longer than
+    /// `secs`, so a regression fails instead of hanging the suite.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(secs)).expect("finished in time")
+    }
+
+    fn point(cache_mb: u64) -> RequestBody {
+        RequestBody::Fig8Point(Fig8PointSpec { cache_mb, block: 4096, scale: 64, seed: 42 })
+    }
+
+    fn send(endpoint: &Endpoint, id: u64, body: RequestBody) -> Response {
+        submit_once(endpoint, &Request { id, client: None, body }).expect("daemon answers")
+    }
+
+    fn stop(endpoint: &Endpoint, server: JoinHandle<Result<(), String>>) {
+        assert_eq!(send(endpoint, 0, RequestBody::Shutdown).event, "done");
+        within(30, move || server.join()).expect("server thread").expect("clean exit");
+    }
+
+    fn pretty(value: Option<Value>) -> String {
+        serde_json::to_string_pretty(&value.expect("payload")).expect("print")
+    }
+
+    #[test]
+    fn serve_answers_and_shuts_down_over_tcp() {
+        let _serial = serial();
+        let (addr, server) = start();
+        let endpoint = Endpoint::Tcp(addr);
+        let body = point(8);
+        let resp = send(&endpoint, 1, body.clone());
         assert_eq!(resp.event, "done");
         assert_eq!(resp.cached, Some(false));
-        let report = resp.result.expect("report payload");
         // Same point again: served from the result cache, byte-identical.
-        let again = submit_once(&endpoint, &Request { id: 2, client: None, body: body.clone() })
-            .expect("second request");
+        let again = send(&endpoint, 2, body);
         assert_eq!(again.cached, Some(true));
-        assert_eq!(
-            serde_json::to_string_pretty(&report).expect("print"),
-            serde_json::to_string_pretty(&again.result.expect("payload")).expect("print"),
-        );
+        assert_eq!(pretty(resp.result), pretty(again.result));
 
         // Stats request reports the hit.
-        let stats = submit_once(&endpoint, &Request { id: 3, client: None, body: RequestBody::Stats })
-            .expect("stats");
-        let stats = stats.result.expect("stats payload");
+        let stats = send(&endpoint, 3, RequestBody::Stats).result.expect("stats payload");
         assert_eq!(stats.get("cache_hits"), Some(&Value::U64(1)));
 
         // Graceful shutdown over the wire.
-        let bye = submit_once(&endpoint, &Request { id: 4, client: None, body: RequestBody::Shutdown })
-            .expect("shutdown ack");
-        assert_eq!(bye.event, "done");
-        server.join().expect("server thread").expect("clean exit");
+        stop(&endpoint, server);
+    }
+
+    #[test]
+    fn an_idle_connection_does_not_hold_up_shutdown() {
+        let _serial = serial();
+        for via_request in [true, false] {
+            let (addr, server) = start();
+            let endpoint = Endpoint::Tcp(addr.clone());
+            let mut idle = TcpStream::connect(addr.as_str()).expect("connect");
+            // Connections are accepted in order: once this is answered,
+            // the idle one has its thread.
+            assert_eq!(send(&endpoint, 1, RequestBody::Stats).event, "done");
+            if via_request {
+                stop(&endpoint, server);
+            } else {
+                request_shutdown();
+                within(30, move || server.join()).expect("server thread").expect("clean exit");
+            }
+            let mut rest = Vec::new();
+            idle.read_to_end(&mut rest).expect("clean close");
+            assert!(rest.is_empty(), "the idle client reads EOF");
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let _serial = serial();
+        let (addr, server) = start();
+        let endpoint = Endpoint::Tcp(addr.clone());
+        let bodies = [point(4), point(16)];
+        let lines: String = (1..)
+            .zip(&bodies)
+            .map(|(id, body)| {
+                let req = Request { id, client: None, body: body.clone() };
+                serde_json::to_string(&req).expect("serialize") + "\n"
+            })
+            .collect();
+        let mut conn = TcpStream::connect(addr.as_str()).expect("connect");
+        conn.write_all(lines.as_bytes()).expect("send both before reading");
+        let answers = within(120, move || {
+            let mut reader = BufReader::new(conn);
+            let mut answers = Vec::new();
+            let mut buf = String::new();
+            while answers.iter().filter(|r: &&Response| r.event == "done").count() < 2 {
+                buf.clear();
+                assert_ne!(reader.read_line(&mut buf).expect("read"), 0, "early EOF");
+                let resp: Response = serde_json::from_str(buf.trim()).expect("response line");
+                if resp.event != "progress" {
+                    answers.push(resp);
+                }
+            }
+            answers
+        });
+        let order: Vec<(u64, &str)> = answers.iter().map(|r| (r.id, r.event.as_str())).collect();
+        assert_eq!(order, [(1, "accepted"), (1, "done"), (2, "accepted"), (2, "done")]);
+        let done = answers.into_iter().filter(|r| r.event == "done");
+        for (resp, body) in done.zip(bodies) {
+            assert_eq!(pretty(resp.result), pretty(send(&endpoint, 9, body).result));
+        }
+        stop(&endpoint, server);
+    }
+
+    #[test]
+    fn an_oversized_line_gets_one_error_then_eof() {
+        let _serial = serial();
+        let (addr, server) = start();
+        let endpoint = Endpoint::Tcp(addr.clone());
+        let conn = TcpStream::connect(addr.as_str()).expect("connect");
+        let mut writer = conn.try_clone().expect("clone");
+        // The daemon stops reading at the cap, so this write may fail
+        // part-way; it runs apart from the reader.
+        std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let (first, rest) = within(60, move || {
+            let mut reader = BufReader::new(conn);
+            let mut first = String::new();
+            reader.read_line(&mut first).expect("error line");
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).expect("clean close");
+            (first, rest)
+        });
+        let resp: Response = serde_json::from_str(first.trim()).expect("response line");
+        assert_eq!(resp.event, "error");
+        assert!(resp.error.expect("message").contains("exceeds"), "{first}");
+        assert!(rest.is_empty(), "EOF after the one error line");
+        // The daemon still answers a new connection.
+        assert_eq!(send(&endpoint, 1, RequestBody::Stats).event, "done");
+        stop(&endpoint, server);
     }
 }
